@@ -68,14 +68,16 @@ def test_scalability_edf_dp(benchmark):
 
 def test_scalability_rms_bb(benchmark):
     def run():
-        lines = ["n_tasks  time_ms  schedulable"]
+        lines = ["n_tasks  time_ms  nodes_visited  schedulable"]
         for n_tasks in (3, 5, 7, 9, 11):
             ts = _taskset(n_tasks, 8, seed=n_tasks + 100)
             budget = 0.4 * ts.max_area
             t0 = time.perf_counter()
-            sel = select_rms(ts, budget)
+            sel = select_rms(ts, budget, use_cache=False)
             dt = (time.perf_counter() - t0) * 1000
-            lines.append(f"{n_tasks:7d}  {dt:7.1f}  {sel.schedulable}")
+            lines.append(
+                f"{n_tasks:7d}  {dt:7.1f}  {sel.nodes_visited:13d}  {sel.schedulable}"
+            )
         return lines
 
     lines = once(benchmark, run)

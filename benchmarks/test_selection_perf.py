@@ -7,9 +7,13 @@ scalar oracles they retain:
   the recursion-(4.2) DP over the full cost axis, on a gate-scale 8-task
   x 12-option instance;
 * ``simulation``     — the event-compressed scheduler simulator vs the
-  release-by-release reference over one hyperperiod, EDF and RM;
+  release-by-release reference over one hyperperiod, EDF and RM, plus a
+  ``ch3_dse``-shaped set (4 tasks, ~1000x period spread, two periods of
+  the longest task) where most jobs resolve inside release trains;
 * ``edf_selection``  — the stacked-argmin Algorithm 1 DP vs the original
-  masked-update loop.
+  masked-update loop;
+* ``rms_selection``  — the RMS branch-and-bound's per-node vectorized
+  test vs the scalar per-configuration test (same tree, same answer).
 
 Each comparison also asserts bit-identical results (same curves, same
 verdicts, same assignments) so the speed numbers always describe
@@ -24,8 +28,8 @@ import random
 import time
 
 from benchmarks.common import emit_json
-from repro import cache
-from repro.core import select_edf
+from repro import cache, obs
+from repro.core import select_edf, select_rms
 from repro.pareto import TaskCurve, exact_utilization_curve
 from repro.rtsched.simulator import simulate
 from repro.testing import random_task_set
@@ -63,6 +67,12 @@ SIM_WORKLOADS = {
         (1.0, 3.0, 4.0, 6.0, 7.0),
     ),
 }
+#: A ch3_dse-shaped set (Table 3.1 sets span ~3000x in period): simulated
+#: over two periods of the longest task, as ``ch3_dse`` validates.
+CH3_SIM_WORKLOAD = (
+    (1_000.0, 7_300.0, 91_000.0, 1_000_000.0),
+    (300.0, 1_500.0, 9_000.0, 150_000.0),
+)
 
 
 def _best_of(fn, repeats: int = 3) -> tuple[float, object]:
@@ -99,26 +109,42 @@ def _bench_inter_pareto() -> dict:
     }
 
 
+def _counter(name: str) -> float:
+    return obs.metrics_snapshot()["counters"].get(name, 0)
+
+
 def _bench_simulation() -> dict:
     rows = {}
-    for label, (periods, costs) in SIM_WORKLOADS.items():
+    workloads = [(label, p, c, None) for label, (p, c) in SIM_WORKLOADS.items()]
+    periods, costs = CH3_SIM_WORKLOAD
+    workloads.append(("ch3_4task_spread1000", periods, costs, 2.0 * max(periods)))
+    for label, periods, costs, horizon in workloads:
         for policy in ("edf", "rm"):
             t_ref, ref = _best_of(
-                lambda p=periods, c=costs, pol=policy: simulate(
-                    list(p), list(c), policy=pol, engine="reference"
+                lambda p=periods, c=costs, pol=policy, h=horizon: simulate(
+                    list(p), list(c), policy=pol, horizon=h, engine="reference"
                 ),
                 repeats=1,
             )
+            events0, trains0 = _counter("sim.events"), _counter("sim.train_jobs")
             t_event, fast = _best_of(
-                lambda p=periods, c=costs, pol=policy: simulate(
-                    list(p), list(c), policy=pol
-                )
+                lambda p=periods, c=costs, pol=policy, h=horizon: simulate(
+                    list(p), list(c), policy=pol, horizon=h
+                ),
+                repeats=5,
             )
-            assert fast.schedulable == ref.schedulable
-            assert fast.missed == ref.missed
+            # Integral workloads: busy time and responses match exactly too.
+            assert (fast.schedulable, fast.missed, fast.busy_time) == (
+                ref.schedulable,
+                ref.missed,
+                ref.busy_time,
+            )
+            assert fast.max_response == ref.max_response
             rows[f"{label}_{policy}"] = {
-                "hyperperiod": ref.horizon,
+                "horizon": ref.horizon,
                 "schedulable": ref.schedulable,
+                "events": (_counter("sim.events") - events0) / 5,
+                "train_jobs": (_counter("sim.train_jobs") - trains0) / 5,
                 "reference_seconds": round(t_ref, 4),
                 "event_seconds": round(t_event, 4),
                 "speedup": _ratio(t_ref, t_event),
@@ -147,6 +173,29 @@ def _bench_edf_selection() -> dict:
     }
 
 
+def _bench_rms_selection() -> dict:
+    # A tight budget (30% of the maximum area) on a set just over U = 1:
+    # every node runs the exact test and the area-aware bound prunes.
+    ts = random_task_set(17, n_tasks=7, max_configs=12, utilization=1.1)
+    budget = 0.3 * ts.max_area
+    t_ref, ref = _best_of(
+        lambda: select_rms(ts, budget, engine="reference", use_cache=False)
+    )
+    pruned0 = _counter("selection.rms.area_pruned")
+    t_fast, fast = _best_of(
+        lambda: select_rms(ts, budget, engine="fast", use_cache=False)
+    )
+    assert fast == ref  # same assignment, utilization, area and tree
+    return {
+        "instance": "7tasks_x_12configs_u1.1_budget0.3",
+        "nodes_visited": fast.nodes_visited,
+        "area_pruned": (_counter("selection.rms.area_pruned") - pruned0) / 3,
+        "reference_seconds": round(t_ref, 4),
+        "fast_seconds": round(t_fast, 4),
+        "speedup": _ratio(t_ref, t_fast),
+    }
+
+
 def test_selection_pipeline_speed(benchmark):
     cache.clear()
 
@@ -155,15 +204,20 @@ def test_selection_pipeline_speed(benchmark):
             "inter_pareto": _bench_inter_pareto(),
             "simulation": _bench_simulation(),
             "edf_selection": _bench_edf_selection(),
+            "rms_selection": _bench_rms_selection(),
         }
 
     payload = benchmark.pedantic(run, rounds=1, iterations=1)
     sim_speedups = {k: v["speedup"] for k, v in payload["simulation"].items()}
+    lcm_speedups = [
+        v for k, v in sim_speedups.items() if not k.startswith("ch3_")
+    ]
     payload["speedups"] = {
         "inter_pareto_merge_vs_dp": payload["inter_pareto"]["speedup"],
         "simulation_event_vs_reference": sim_speedups,
-        "simulation_event_vs_reference_best": max(sim_speedups.values()),
+        "simulation_event_vs_reference_best": max(lcm_speedups),
         "edf_selection_vector_vs_reference": payload["edf_selection"]["speedup"],
+        "rms_selection_fast_vs_reference": payload["rms_selection"]["speedup"],
     }
     emit_json("BENCH_selection", payload)
 
@@ -175,3 +229,11 @@ def test_selection_pipeline_speed(benchmark):
     assert payload["speedups"]["simulation_event_vs_reference_best"] >= 2.5
     # The vector selection DP must at least not be slower than the oracle.
     assert payload["speedups"]["edf_selection_vector_vs_reference"] >= 1.0
+    # Nor may the per-node vectorized RMS test (headline ~5x).
+    assert payload["speedups"]["rms_selection_fast_vs_reference"] >= 1.0
+    # The ch3-shaped simulation must actually run in release trains.
+    ch3_rows = [
+        v for k, v in payload["simulation"].items()
+        if k.startswith("ch3_")
+    ]
+    assert all(row["train_jobs"] > 0.4 * row["events"] for row in ch3_rows)

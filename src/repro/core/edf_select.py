@@ -103,7 +103,6 @@ def select_edf(
             budget=area_budget,
             scale=scale,
             max_steps=max_steps,
-            engine=engine,
         )
         cached = cache.fetch_selection(key)
         if cached is not None:

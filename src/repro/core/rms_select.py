@@ -10,12 +10,18 @@ Branch-and-bound over per-task configuration choices:
   which reaches a good incumbent quickly;
 * a subtree is pruned when (a) its area is exhausted, (b) the new task
   misses its deadline, or (c) the utilization lower bound — current partial
-  utilization plus every remaining task at its best configuration — cannot
-  beat the incumbent.
+  utilization plus every remaining task at the best configuration whose
+  own area fits the remaining budget — cannot beat the incumbent.
+
+``L_i`` is monotone in ``C_i``, so the configurations passing (b) form a
+prefix of the increasing-execution-time order; each node computes that
+prefix once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,11 +72,13 @@ def select_rms(
         area_budget: total CFU area constraint.
         engine: ``"fast"`` (default) precomputes the schedulability-point
             sets ``S_{i-1}(P_i)`` — they depend only on the periods — and
-            evaluates each node's exact test as one vectorized demand
-            product; ``"reference"`` calls the recursive scalar
-            :func:`rms_task_load` at every node.  Both explore the
-            identical search tree (same ``nodes_visited``) and return the
-            identical assignment.
+            evaluates each node's exact test for all of the task's
+            configurations at once, as one ``(points x configs)`` load
+            matrix; ``"reference"`` calls the recursive scalar
+            :func:`rms_task_load` per configuration.  Both share the
+            search skeleton and its area-aware bound, so they explore the
+            identical tree (same ``nodes_visited``, smaller than with the
+            area-blind bound) and return the identical assignment.
         use_cache: memoize the result behind a content key (task-set digest
             + budget) in :mod:`repro.cache`.
 
@@ -88,7 +96,6 @@ def select_rms(
             cache.taskset_digest(task_set),
             kind="select_rms",
             budget=area_budget,
-            engine=engine,
         )
         cached = cache.fetch_selection(key)
         if cached is not None:
@@ -112,14 +119,49 @@ def select_rms(
     n = len(tasks)
     periods = [t.period for t in tasks]
 
-    # Fast engine: the point sets S_{i-1}(P_i) depend only on the periods,
-    # so hoist them out of the search.  L_i is then min over points t of
-    # ceil(t/P_j - EPS) C_j summed for j <= i — one precomputed ceil matrix
-    # row-dotted with the chosen costs (numpy sums short rows sequentially,
-    # so the floats match the scalar loop exactly; the min over a point
-    # *set* is order-independent).
-    load_tables: list[tuple[np.ndarray, np.ndarray]] = []
+    # Per task: configurations sorted by increasing execution time.
+    sorted_cfgs = [
+        sorted(
+            ((j, c.cycles, c.area) for j, c in enumerate(t.configurations)),
+            key=lambda x: x[1],
+        )
+        for t in tasks
+    ]
+    # For the lower bound: per task, the staircase of the best utilization
+    # reachable with at most a given area (areas ascending, utilizations
+    # strictly falling).
+    stairs: list[tuple[list[float], list[float]]] = []
+    for i, cfgs in enumerate(sorted_cfgs):
+        areas: list[float] = []
+        utils: list[float] = []
+        for _, cycles, area in sorted(cfgs, key=lambda x: (x[2], x[1])):
+            u = cycles / periods[i]
+            if not utils or u < utils[-1]:
+                areas.append(area)
+                utils.append(u)
+        stairs.append((areas, utils))
+
+    incumbent_util = float("inf")
+    incumbent: list[int] | None = None
+    # Chosen execution times along the current path (the scalar test reads
+    # the list, the vectorized one the array).
+    costs = [0.0] * n
+    costs_arr = np.zeros(n)
+    path = [0] * n
+    visited = 0
+    area_pruned = 0
+
+    # L_i = min over points t in S_{i-1}(P_i) of
+    # sum_{j<=i} ceil(t/P_j - EPS) C_j / t is monotone in C_i, so the
+    # configurations (sorted by C_i) that pass the exact test form a prefix.
+    # passing(i, area_left) yields them, given the higher-priority choices.
     if engine == "fast":
+        # The point sets depend only on the periods, so hoist them out of
+        # the search.  Each node then sums the higher-priority demand per
+        # point once (a cumulative sum, i.e. the scalar test's sequential
+        # order) and adds task i's own demand for every configuration at
+        # once: one (points x configs) load matrix per node, same floats.
+        tables: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for i in range(n):
             pts = np.asarray(
                 [t for t in rms_points(periods, i, periods[i]) if t > EPS]
@@ -127,51 +169,50 @@ def select_rms(
             ceils = np.ceil(
                 pts[:, None] / np.asarray(periods[: i + 1])[None, :] - EPS
             )
-            load_tables.append((pts, ceils))
+            own = ceils[:, i : i + 1] * np.asarray(
+                [c for _, c, _ in sorted_cfgs[i]]
+            )
+            tables.append((pts[:, None], ceils[:, :i], own))
 
-    # Per task: configurations sorted by increasing execution time, and the
-    # minimum achievable utilization (for the lower bound).
-    sorted_cfgs: list[list[tuple[int, float, float]]] = []
-    best_util_suffix = [0.0] * (n + 1)
-    for t in tasks:
-        cfgs = sorted(
-            ((j, c.cycles, c.area) for j, c in enumerate(t.configurations)),
-            key=lambda x: x[1],
-        )
-        sorted_cfgs.append(cfgs)
-    for i in range(n - 1, -1, -1):
-        best_cycle = min(c for _, c, _ in sorted_cfgs[i])
-        best_util_suffix[i] = best_util_suffix[i + 1] + best_cycle / periods[i]
+        def passing(i: int, area_left: float) -> list[tuple[int, float, float]]:
+            pts, hp_ceils, own = tables[i]
+            if i:
+                hp = (hp_ceils * costs_arr[:i]).cumsum(axis=1)[:, -1:]
+                own = hp + own
+            loads = (own / pts).min(axis=0)
+            return sorted_cfgs[i][: int(np.searchsorted(loads, 1.0 + EPS, "right"))]
 
-    incumbent_util = float("inf")
-    incumbent: list[int] | None = None
-    costs = [0.0] * n  # chosen execution times along the current path
-    costs_arr = np.zeros(n)
-    path = [0] * n
-    visited = 0
+    else:
 
-    def task_load(i: int) -> float:
-        if engine == "fast":
-            pts, ceils = load_tables[i]
-            demands = (ceils * costs_arr[: i + 1]).sum(axis=1)
-            return float((demands / pts).min())
-        return rms_task_load(periods, costs, i)
+        def passing(i: int, area_left: float) -> Iterator[tuple[int, float, float]]:
+            # The scalar test, one configuration at a time, only for the
+            # configurations whose area fits.
+            for cfg in sorted_cfgs[i]:
+                if cfg[2] > area_left + EPS:
+                    continue
+                costs[i] = cfg[1]
+                if rms_task_load(periods, costs, i) > 1.0 + EPS:
+                    return
+                yield cfg
+
+    def area_bound(util: float, i: int, area_left: float) -> float:
+        """*util* plus every task from *i* on at its best configuration
+        whose own area fits *area_left* (added in the search's order, so
+        no completion of the path can come out below it)."""
+        fit = area_left + EPS
+        for areas, utils in stairs[i:]:
+            k = bisect_right(areas, fit)
+            if not k:
+                return float("inf")
+            util += utils[k - 1]
+        return util
 
     def search(i: int, util: float, area_left: float) -> None:
-        nonlocal incumbent_util, incumbent, visited
+        nonlocal incumbent_util, incumbent, visited, area_pruned
         visited += 1
-        for j, cycles, area in sorted_cfgs[i]:
+        for j, cycles, area in passing(i, area_left):
             if area > area_left + EPS:
                 continue
-            costs[i] = cycles
-            costs_arr[i] = cycles
-            # Exact schedulability of task i given higher-priority choices.
-            if task_load(i) > 1.0 + EPS:
-                # Configurations are in increasing execution time: if the
-                # fastest remaining ones fail, slower ones fail too - but
-                # the list is sorted ascending, so later entries are slower;
-                # prune the rest.
-                break
             new_util = util + cycles / periods[i]
             if i == n - 1:
                 if new_util < incumbent_util - EPS:
@@ -179,16 +220,18 @@ def select_rms(
                     path[i] = j
                     incumbent = list(path)
                 continue
-            if new_util + best_util_suffix[i + 1] >= incumbent_util - EPS:
+            rest = area_left - area
+            if area_bound(new_util, i + 1, rest) >= incumbent_util - EPS:
+                area_pruned += 1
                 continue
             path[i] = j
-            search(i + 1, new_util, area_left - area)
-        costs[i] = 0.0
-        costs_arr[i] = 0.0
+            costs_arr[i] = cycles
+            search(i + 1, new_util, rest)
 
     with obs.span("select.rms", tasks=n, engine=engine):
         search(0, 0.0, area_budget)
     obs.inc("selection.rms.nodes_visited", visited)
+    obs.inc("selection.rms.area_pruned", area_pruned)
 
     if incumbent is None:
         result = RmsSelection(

@@ -211,15 +211,18 @@ def _flush_sim_counters(
     preemptions: int,
     stats: FaultStats | None,
     missed: list[tuple[int, float]],
+    train_jobs: int = 0,
 ) -> None:
     """Fold one run's locally-accumulated counters into the obs registry.
 
     The engines keep plain ints in their hot loops and flush once per run,
-    so the per-event cost of instrumentation is zero.
+    so the per-event cost of instrumentation is zero.  ``train_jobs``
+    counts the jobs the event engine resolved inside a release train.
     """
     obs.inc("sim.runs")
     obs.inc("sim.events", events)
     obs.inc("sim.preemptions", preemptions)
+    obs.inc("sim.train_jobs", train_jobs)
     obs.inc("sim.misses", len(missed))
     if stats is not None:
         obs.inc("faults.jobs", stats.jobs)
@@ -283,7 +286,8 @@ def _simulate_event(
 ) -> SimulationResult:
     """Event-compressed engine: the running job advances in one span to its
     completion or the first preempting release; idle gaps jump to the next
-    release; simultaneous releases enter the queue in one batch."""
+    release; simultaneous releases enter the queue in one batch; release
+    trains are replayed without heap traffic (see ``replay_train``)."""
     n = len(periods)
     edf = policy == "edf"
     rm_rank = [0] * n
@@ -308,6 +312,7 @@ def _simulate_event(
     busy = 0.0
     events = 0
     preemptions = 0
+    train_jobs = 0
     missed: list[tuple[int, float]] = []
     max_response = [0.0] * n
     # Fault-injection state (inert when faults is None: job demands are the
@@ -316,6 +321,9 @@ def _simulate_event(
     aborted: list[tuple[int, float]] = []
     abort_keys: set[tuple[int, float]] = set()
     release_idx = [0] * n
+    # Trains charge every job its nominal cost, so injected runs (whose
+    # demands come from the fault model) take the generic path throughout.
+    trains = faults is None
 
     def push_due(now: float) -> None:
         bound = now + EPS
@@ -340,9 +348,87 @@ def _simulate_event(
             if r < release_cap:
                 push(rel_heap, (r, i))
 
+    def replay_train(
+        time: float, remaining: float, deadline: float, task: int
+    ) -> tuple[float, float]:
+        """Replay the release train at the top of the release heap.
+
+        A round of a train is one job of the task ``q`` that owns the
+        earliest pending release: that release is the only one due at its
+        instant, it preempts the running job ``task`` (``task < 0``: the CPU
+        is idle), and the job completes on time, inside the horizon and
+        before any other release.  Rounds repeat while that holds.  Each
+        round does the generic loop's float operations in the same order,
+        so results are identical; only the ready/release heap round trips
+        are skipped.  Returns the new ``(time, remaining)`` of the running
+        job, unchanged when no round qualified.
+        """
+        nonlocal busy, events, preemptions, train_jobs
+        r, q = rel_heap[0]
+        running = task >= 0
+        if running and not edf and rm_rank[q] >= rm_rank[task]:
+            return time, remaining
+        # Only q's release moves during a train, so the other pending
+        # releases' minimum (a child of the heap root) stays fixed.
+        size = len(rel_heap)
+        other = rel_heap[1][0] if size > 1 else _INF
+        if size > 2 and rel_heap[2][0] < other:
+            other = rel_heap[2][0]
+        p = periods[q]
+        c = costs[q]
+        b = busy
+        resp = max_response[q]
+        jobs = 0
+        while other > r + EPS:
+            if running and r >= time + remaining:
+                break
+            nxt = r + p  # q's deadline, and its next release
+            if running and edf and not (
+                nxt < deadline or (nxt == deadline and q < task)
+            ):
+                break
+            fin = r + c
+            bound = fin + EPS
+            # Finishing before q's next release (its deadline) is on time.
+            if (
+                fin >= release_cap
+                or other <= bound
+                or (nxt <= bound and nxt < release_cap)
+            ):
+                break
+            if running:
+                run = r - time
+                b += run
+                remaining -= run
+            b += c
+            time = fin
+            if fin - r > resp:
+                resp = fin - r
+            jobs += 1
+            r = nxt
+            if r >= release_cap:
+                break
+        if jobs:
+            next_release[q] = r
+            if r < release_cap:
+                heapq.heapreplace(rel_heap, (r, q))
+            else:
+                pop(rel_heap)
+            busy = b
+            max_response[q] = resp
+            train_jobs += jobs
+            if running:
+                events += 2 * jobs
+                preemptions += jobs
+            else:
+                events += jobs
+        return time, remaining
+
     push_due(0.0)
     while time < horizon - EPS:
         if not ready:
+            if trains and rel_heap:
+                time = replay_train(time, 0.0, 0.0, -1)[0]
             # Idle: skip straight to the next release (or the horizon).
             if not rel_heap:
                 time = horizon
@@ -356,20 +442,30 @@ def _simulate_event(
             deadline, task, release, remaining = job
         else:
             _rank, deadline, task, release, remaining = job
+        if trains and rel_heap and rel_heap[0][0] < time + remaining:
+            time, remaining = replay_train(time, remaining, deadline, task)
         finish = time + remaining
         # Earliest release that preempts this job.  Under RM only a
         # higher-rank task preempts; under EDF a release at r preempts iff
-        # its deadline tuple (r + P_i, i) precedes the running job's.
+        # its deadline tuple (r + P_i, i) precedes the running job's.  The
+        # earliest pending release answers it outright when it preempts.
         t_pre = _INF
         if rel_heap and rel_heap[0][0] < finish:
+            r, i = rel_heap[0]
             if edf:
-                for i in range(n):
-                    r = next_release[i]
-                    if r >= finish or r >= release_cap or r >= t_pre:
-                        continue
-                    d_new = r + periods[i]
-                    if d_new < deadline or (d_new == deadline and i < task):
-                        t_pre = r
+                d_new = r + periods[i]
+                if d_new < deadline or (d_new == deadline and i < task):
+                    t_pre = r
+                else:
+                    for i in range(n):
+                        r = next_release[i]
+                        if r >= finish or r >= release_cap or r >= t_pre:
+                            continue
+                        d_new = r + periods[i]
+                        if d_new < deadline or (d_new == deadline and i < task):
+                            t_pre = r
+            elif rm_rank[i] < _rank:
+                t_pre = r
             else:
                 # Only strictly higher-rank tasks preempt; scan rank order.
                 for rank in range(_rank):
@@ -415,7 +511,7 @@ def _simulate_event(
             if stop_on_first_miss:
                 missed.sort()
                 aborted.sort()
-                _flush_sim_counters(events, preemptions, stats, missed)
+                _flush_sim_counters(events, preemptions, stats, missed, train_jobs)
                 return SimulationResult(
                     schedulable=False,
                     missed=missed,
@@ -441,7 +537,7 @@ def _simulate_event(
             missed.append((task, release))
     missed.sort()
     aborted.sort()
-    _flush_sim_counters(events, preemptions, stats, missed)
+    _flush_sim_counters(events, preemptions, stats, missed, train_jobs)
     return SimulationResult(
         schedulable=not missed,
         missed=missed,

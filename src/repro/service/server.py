@@ -107,6 +107,11 @@ _DONE_STATES = ("done", "failed")
 #: are marked retryable so clients resubmit after the restart.
 _DRAIN_ERROR = "draining:"
 
+#: Loop cycles a connection accepted just before stop() needs to reach
+#: its handler (accept task, ``connection_made``, handler start), plus one
+#: to spare.
+_HANDOFF_CYCLES = 4
+
 
 class QueueFullError(ReproError):
     """The bounded job queue rejected a submit (backpressure)."""
@@ -324,6 +329,18 @@ class JobServer:
         if not self._started:
             return
         self._started = False
+        # Stop accepting, then let connections the loop already accepted
+        # finish their hand-off (accept -> transport -> handler, one loop
+        # cycle each) before closing the endpoints: a connection still in
+        # that pipeline when its server closes has its transport creation
+        # fail inside asyncio, and the orphaned socket stays open until
+        # garbage collection, so its client would never see EOF.
+        loop = asyncio.get_running_loop()
+        for srv in self._endpoints:
+            for sock in srv.sockets:
+                loop.remove_reader(sock.fileno())
+        for _ in range(_HANDOFF_CYCLES):
+            await asyncio.sleep(0)
         for srv in self._endpoints:
             srv.close()
         for srv in self._endpoints:
@@ -791,7 +808,8 @@ class JobServer:
 
         self._conns.add(writer)
         try:
-            while True:
+            # A connection handed off after stop() began gets EOF at once.
+            while self._started:
                 line = await reader.readline()
                 if not line:
                     break

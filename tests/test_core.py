@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core import select_edf, select_rms
 from repro.errors import ScheduleError
 from repro.rtsched import PeriodicTask, TaskSet, rms_schedulable, simulate_taskset
 from repro.selection.config_curve import TaskConfiguration
+from repro.testing import random_task_set
 
 
 def _task(name, period, configs):
@@ -145,6 +147,40 @@ class TestRmsSelect:
         else:
             assert sel.assignment is not None
             assert sel.utilization == pytest.approx(expected_u)
+
+    @given(
+        st.integers(0, 10_000),
+        st.integers(5, 6),
+        st.floats(0.9, 1.25),
+        st.floats(0.05, 0.4),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_bruteforce_at_tight_budgets(self, seed, n_tasks, u0, frac):
+        """Budgets of at most 40% of the maximum area make the area-aware
+        lower bound cut most subtrees; the optimum must not move."""
+        ts = random_task_set(seed, n_tasks=n_tasks, max_configs=6, utilization=u0)
+        budget = frac * ts.max_area
+        expected_u, expected_assign = _brute_force_rms(ts, budget)
+        fast = select_rms(ts, budget, use_cache=False)
+        ref = select_rms(ts, budget, engine="reference", use_cache=False)
+        assert fast == ref
+        if expected_assign is None:
+            assert fast.assignment is None
+        else:
+            assert fast.assignment is not None
+            assert fast.area <= budget + 1e-9
+            assert fast.utilization == pytest.approx(expected_u)
+
+    def test_area_bound_prunes_and_counts(self):
+        ts = random_task_set(3, n_tasks=6, max_configs=6, utilization=1.1)
+        budget = 0.3 * ts.max_area
+        before = obs.metrics_snapshot()["counters"].get(
+            "selection.rms.area_pruned", 0
+        )
+        sel = select_rms(ts, budget, use_cache=False)
+        after = obs.metrics_snapshot()["counters"]["selection.rms.area_pruned"]
+        assert after > before
+        assert sel.utilization == pytest.approx(_brute_force_rms(ts, budget)[0])
 
     def test_solution_is_rms_schedulable(self):
         ts, budget = _random_taskset(11, n_tasks=4)

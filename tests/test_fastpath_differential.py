@@ -5,8 +5,9 @@ implementation behind ``engine="reference"``.  These tests drive both
 engines over seeded random inputs and assert *bit-identical* results —
 equal floats, equal assignments, equal node counts — not approximate
 agreement.  Caching is bypassed (``use_cache=False``) so the engines
-cannot observe each other's results (the engine name is part of each
-cache key anyway; this keeps the tests independent of cache state).
+cannot observe each other's results: the EDF/RMS selection keys leave
+the engine out (engines never change an answer), so a cached fast
+result would otherwise answer the oracle's call.
 """
 
 from __future__ import annotations

@@ -562,13 +562,18 @@ class TestClientReconnect:
             first.stop()
 
     def test_no_retries_still_fails_fast(self, recorder, tmp_path):
+        # The client connects just before stop(), so its connection may
+        # still be mid-accept: stop() must hand it EOF, not leave it to
+        # the client's 300 s socket timeout.
         sock = str(tmp_path / "svc.sock")
         srv = _server(socket_path=sock).start()
         c = ServiceClient(socket_path=sock)
+        t0 = time.monotonic()
         srv.stop()
         with pytest.raises(ReproError):
             c.submit(recorder.name, {"x": 1})
         c.close()
+        assert time.monotonic() - t0 < 2.0
 
 
 class TestJobKinds:

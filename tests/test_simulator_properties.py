@@ -69,18 +69,56 @@ def test_rms_simulation_matches_analysis(ts):
     assert sim.schedulable == rta_schedulable(periods, costs)
 
 
+@st.composite
+def wide_task_sets(draw, max_tasks: int = 5):
+    """Integral sets whose periods spread up to ~500x at utilization
+    0.3-1.3: the event engine spends most of a run in long release trains
+    of the shortest-period task."""
+    n = draw(st.integers(min_value=2, max_value=max_tasks))
+    p_min = draw(st.integers(min_value=2, max_value=8))
+    p_max = p_min * draw(st.integers(min_value=2, max_value=500))
+    periods = [
+        float(p_min),
+        float(p_max),
+        *(float(draw(st.integers(p_min, p_max))) for _ in range(n - 2)),
+    ]
+    utilization = draw(st.floats(min_value=0.3, max_value=1.3))
+    weights = [draw(st.integers(min_value=1, max_value=10)) for _ in range(n)]
+    costs = [
+        float(max(1, round(utilization * w / sum(weights) * p)))
+        for w, p in zip(weights, periods)
+    ]
+    return periods, costs
+
+
+def _assert_same_result(fast, ref):
+    # Integral workloads accumulate exactly, so every field matches.
+    assert fast.schedulable == ref.schedulable
+    assert fast.missed == ref.missed
+    assert fast.horizon == ref.horizon
+    assert fast.busy_time == ref.busy_time
+    assert fast.max_response == ref.max_response
+    assert fast.aborted == ref.aborted
+    assert fast.fault_stats == ref.fault_stats
+
+
 @settings(max_examples=150, deadline=None)
 @given(task_sets(), st.sampled_from(["edf", "rm"]))
 def test_event_engine_matches_reference(ts, policy):
     periods, costs = ts
     fast = simulate(periods, costs, policy=policy)
     ref = simulate(periods, costs, policy=policy, engine="reference")
-    assert fast.schedulable == ref.schedulable
-    assert fast.missed == ref.missed
-    assert fast.horizon == ref.horizon
-    assert math.isclose(fast.busy_time, ref.busy_time, abs_tol=1e-6)
-    for a, b in zip(fast.max_response, ref.max_response):
-        assert math.isclose(a, b, abs_tol=1e-6)
+    _assert_same_result(fast, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_task_sets(), st.sampled_from(["edf", "rm"]), st.booleans())
+def test_event_engine_matches_reference_on_wide_spread(ts, policy, stop):
+    periods, costs = ts
+    kw = {"policy": policy, "horizon": 2.0 * max(periods), "stop_on_first_miss": stop}
+    fast = simulate(periods, costs, **kw)
+    ref = simulate(periods, costs, engine="reference", **kw)
+    _assert_same_result(fast, ref)
 
 
 @settings(max_examples=80, deadline=None)
