@@ -2,22 +2,24 @@
 
 Times the identification → configuration-curve → selection pipeline on the
 Figure 3.3 workload (the unique programs of the six Chapter 3 task sets)
-under four setups:
+under these setups, every ``*_cold`` row starting from emptied artifact
+caches (library, curve and selection alike), so their ``total_seconds``
+compare like with like:
 
 * ``reference_cold`` — the original set-based ESU enumerator, no caching;
-* ``bitset_cold``    — the bitset engine with empty artifact caches;
-* ``array_cold``     — the array engine; the library cache key is
-  engine-qualified so its *enumeration* runs cold, while the
-  engine-independent curve/select caches stay primed from the bitset row
-  (only the enumerate stage is a cold-vs-cold comparison);
-* ``compiled_cold``  — the compiled engine the same way; under a numba
-  toolchain its first call additionally pays the (disk-cached) JIT
-  build, which is exactly what a cold pipeline run pays — on hosts
-  without numba the row measures the array-fallback ladder instead (the
-  payload's ``jit`` block records which);
-* ``auto_cold``      — ``engine="auto"`` per-block dispatch, cold the
-  same way;
-* ``bitset_warm``    — the bitset engine re-run with primed caches.
+* ``bitset_cold``    — the bitset engine;
+* ``bitset_warm``    — the bitset engine re-run directly after
+  ``bitset_cold``, on the caches that row primed;
+* ``array_cold``     — the array engine;
+* ``compiled_cold``  — the compiled engine; under a numba toolchain its
+  first call additionally pays the (disk-cached) JIT build, which is
+  exactly what a cold pipeline run pays — on hosts without numba the row
+  measures the array-fallback ladder instead (the payload's ``jit`` block
+  records which);
+* ``auto_cold``      — ``engine="auto"`` per-block dispatch.
+
+Only the per-DFG bitset masks, which live on the program objects, are
+shared: the first row to enumerate builds them.
 
 Per-stage wall clock (enumerate / curves / select), candidate-visit rates
 and the speedup ratios are written to
@@ -189,23 +191,22 @@ def test_identification_pipeline_speed(benchmark):
 
     cache.clear()
     cold = _run_pipeline("bitset", use_cache=True, label="bitset_cold")
+    warm = benchmark.pedantic(
+        _run_pipeline, args=("bitset", True, "bitset_warm"), rounds=1, iterations=1
+    )
 
-    # Engine-qualified library cache key ⇒ enumeration runs cold; the
-    # engine-independent curve cache stays primed (bitset paid for it —
-    # and for building the shared per-DFG bitset masks — just above).
+    cache.clear()
     array_cold = _run_pipeline("array", use_cache=True, label="array_cold")
 
     obs.reset()  # fresh fallback counters for the jit payload block
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
+        cache.clear()
         compiled_cold = _run_pipeline(
             "compiled", use_cache=True, label="compiled_cold"
         )
+        cache.clear()
         auto_cold = _run_pipeline("auto", use_cache=True, label="auto_cold")
-
-    warm = benchmark.pedantic(
-        _run_pipeline, args=("bitset", True, "bitset_warm"), rounds=1, iterations=1
-    )
 
     bitset_best = _enumeration_seconds("bitset")
     array_best = _enumeration_seconds("array")
@@ -223,7 +224,7 @@ def test_identification_pipeline_speed(benchmark):
     fallbacks = obs.metrics_snapshot()["counters"].get("jit.fallback", 0)
     payload = {
         "workload": "figure_3_3",
-        "rows": [reference, cold, array_cold, compiled_cold, auto_cold, warm],
+        "rows": [reference, cold, warm, array_cold, compiled_cold, auto_cold],
         "jit": {
             "toolchain": jit.toolchain(),
             "kernel_builds": jit.kernel_build_count(),
@@ -289,8 +290,9 @@ def test_identification_pipeline_speed(benchmark):
     assert speedups["warm_vs_cold_identification"] >= 5.0
     assert warm["total_seconds"] < cold["total_seconds"]
     # Soft perf guard: the array engine must not enumerate slower than the
-    # bitset engine (observed ~2x faster best-of-N; the 1.0 floor keeps
-    # single-core CI noise from flaking the build).
+    # bitset engine.  Since the bitset engine checks children from their
+    # parent the two are close on these blocks (best-of-N ratio 1.0-1.2
+    # on a 2-CPU host), so this floor now has little margin.
     assert speedups["array_vs_bitset_enumeration_best"] >= 1.0
     # Soft guard: compiled must at least keep pace with array.  Under a
     # numba toolchain it runs real kernels (observed well above 1.0);

@@ -25,6 +25,11 @@ from repro.selection.config_curve import TaskConfiguration
 from repro.workloads.synthesis import OP_MIXES, synth_dfg
 
 
+#: Timed runs per engine and block size in the enumeration sweep; the
+#: row reports the best (as ``test_identification_perf.ENUM_REPEATS``).
+ENUM_REPEATS = 5
+
+
 def _taskset(n_tasks: int, n_cfg: int, seed: int = 0) -> TaskSet:
     rng = random.Random(seed)
     tasks = []
@@ -96,10 +101,10 @@ def test_scalability_enumeration(benchmark):
         # (array/compiled) — both deterministic, with the BFS order
         # reaching more feasible subgraphs inside the same budget.
         # Per-candidate microseconds is the comparable figure; the array
-        # engine wins in the hot-block size range real programs produce
-        # (tens to a few hundred ops) through ~1500 ops and delegates
-        # larger blocks (>= ARRAY_MAX_NODES, where its level frontier
-        # outgrows the cache) back to the bitset kernel.  The compiled
+        # engine wins on small and mid-size blocks, is at parity with
+        # bitset around 500 ops and delegates larger blocks
+        # (>= ARRAY_MAX_NODES, where the bitset DFS is faster) back to
+        # the bitset kernel.  The compiled
         # column runs the JIT kernels where a numba toolchain is present
         # and IS the array engine (plus a one-shot fallback warning)
         # otherwise — the header records which.  engine="auto" picks per
@@ -112,20 +117,24 @@ def test_scalability_enumeration(benchmark):
             "  auto_cands  bitset_ms  array_ms  compiled_ms  auto_ms"
             "  bitset_us_per_cand  array_us_per_cand  compiled_us_per_cand",
         ]
+        engines = ("bitset", "array", "compiled", "auto")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             for n_ops in (50, 100, 250, 500, 1000, 2000):
                 rng = random.Random(n_ops)
                 dfg = synth_dfg(rng, n_ops, OP_MIXES["crypto"])
                 res = {}
-                ms = {}
-                # bitset first: it pays for building the shared per-DFG
-                # masks (and, under numba, the compiled row's first call
-                # pays the cached-JIT load).
-                for eng in ("bitset", "array", "compiled", "auto"):
-                    t0 = time.perf_counter()
-                    res[eng] = enumerate_connected(dfg, 4, 2, engine=eng)
-                    ms[eng] = (time.perf_counter() - t0) * 1000
+                ms = dict.fromkeys(engines, float("inf"))
+                # Best of ENUM_REPEATS per engine, the engines taking turns
+                # within each repeat: neither the shared per-DFG masks
+                # (built by the first call), a cached-JIT load nor a
+                # seconds-long slow spell of the host lands on one engine.
+                for _ in range(ENUM_REPEATS):
+                    for eng in engines:
+                        t0 = time.perf_counter()
+                        res[eng] = enumerate_connected(dfg, 4, 2, engine=eng)
+                        dt = (time.perf_counter() - t0) * 1000
+                        ms[eng] = min(ms[eng], dt)
                 lines.append(
                     f"{n_ops:9d}  {len(res['bitset']):12d}  "
                     f"{len(res['array']):11d}  {len(res['compiled']):14d}  "

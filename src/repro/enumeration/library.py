@@ -119,37 +119,39 @@ def build_candidate_library(
     with obs.span("identify.enumerate", program=program.name, engine=engine):
         for i in hot_block_indices(program, hot_threshold):
             dfg = blocks[i].dfg
-            t0 = time.perf_counter()
-            node_sets = enumerate_connected(
-                dfg,
-                max_inputs=max_inputs,
-                max_outputs=max_outputs,
-                max_size=max_size,
-                max_candidates=max_candidates_per_block,
-                engine=engine,
-                stats=enum_stats,
-            )
-            enum_seconds += time.perf_counter() - t0
-            if include_disconnected:
-                from repro.enumeration.disconnected import pair_disconnected
-
-                node_sets = node_sets + pair_disconnected(
+            with obs.span("identify.search", block=i, ops=len(dfg)):
+                t0 = time.perf_counter()
+                node_sets = enumerate_connected(
                     dfg,
-                    node_sets[: max(20, max_disconnected_per_block // 4)],
                     max_inputs=max_inputs,
                     max_outputs=max_outputs,
-                    max_pairs=max_disconnected_per_block,
+                    max_size=max_size,
+                    max_candidates=max_candidates_per_block,
+                    engine=engine,
+                    stats=enum_stats,
                 )
-            for nodes in node_sets:
-                cand = make_candidate(
-                    dfg,
-                    nodes,
-                    block_index=i,
-                    frequency=freq.get(i, 0.0),
-                    model=model,
-                )
-                if cand.total_gain > 0:
-                    library.add(cand)
+                enum_seconds += time.perf_counter() - t0
+                if include_disconnected:
+                    from repro.enumeration.disconnected import pair_disconnected
+
+                    node_sets = node_sets + pair_disconnected(
+                        dfg,
+                        node_sets[: max(20, max_disconnected_per_block // 4)],
+                        max_inputs=max_inputs,
+                        max_outputs=max_outputs,
+                        max_pairs=max_disconnected_per_block,
+                    )
+            with obs.span("identify.cost", block=i, candidates=len(node_sets)):
+                for nodes in node_sets:
+                    cand = make_candidate(
+                        dfg,
+                        nodes,
+                        block_index=i,
+                        frequency=freq.get(i, 0.0),
+                        model=model,
+                    )
+                    if cand.total_gain > 0:
+                        library.add(cand)
     enum_stats["enumerate_seconds"] = (
         enum_stats.get("enumerate_seconds", 0.0) + enum_seconds
     )

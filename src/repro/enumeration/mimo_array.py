@@ -67,21 +67,19 @@ __all__ = [
 ARRAY_MIN_NODES = 24
 
 #: Upper hybrid dispatch threshold (empirical): at and above this many DFG
-#: nodes the level frontier's bitset matrices (``n_words`` grows with the
-#: block, the frontier with the budget) outgrow the cache and the batched
-#: walk loses to the bitset DFS.  The measured wall-clock crossover on the
-#: scalability sweep sits between 2000 and 3000 ops (at 2000 the walk is
-#: at parity in wall time while still ~25% cheaper per candidate; at 3000
-#: it clearly loses both ways), so blocks of 1536+ ops — the next
-#: word-aligned step safely below the parity point — delegate to the
-#: bitset kernel and ``engine="array"`` stays within noise of bitset at
-#: every block size (guarded by ``benchmarks/test_scalability.py``).  The
-#: previous cap of 768 was a dead zone: it delegated 768–1500-op blocks
-#: where the batched walk actually wins 2x+ per candidate.  Real hot
-#: blocks are tens to a few hundred ops; blocks this large are
-#: budget-bound synthetic stress cases where the two engines already
-#: return different (deterministic) candidate sets.
-ARRAY_MAX_NODES = 1536
+#: nodes the bitset DFS beats the batched walk, whose level-frontier
+#: matrices grow with the block.  Since the bitset engine checks children
+#: from their parent and decodes in O(|S|), the measured wall-clock
+#: crossover on the scalability sweep (best of 5, 2-CPU x86_64) sits
+#: between 500 ops (parity, array/bitset 0.87-1.03) and 1000 ops (bitset
+#: 1.2-1.5x faster), so blocks of 768+ ops — the word-aligned step
+#: between them — delegate to the bitset kernel and ``engine="array"``
+#: stays within noise of bitset at every block size (guarded by
+#: ``benchmarks/test_scalability.py``).  Real hot blocks are tens to a
+#: few hundred ops (the largest below this cap has 487); blocks this
+#: large are budget-bound synthetic stress cases where the two engines
+#: already return different (deterministic) candidate sets.
+ARRAY_MAX_NODES = 768
 
 
 class _ArrayConsts:

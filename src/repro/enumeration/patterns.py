@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from repro.graphs.dfg import DataFlowGraph
+from repro.graphs.dfg import DataFlowGraph, induced_structural_key
 from repro.isa.costmodel import DEFAULT_COST_MODEL, HardwareCostModel
 
 __all__ = ["Candidate", "make_candidate", "CandidateLibrary"]
@@ -77,22 +77,22 @@ def make_candidate(
     model: HardwareCostModel = DEFAULT_COST_MODEL,
 ) -> Candidate:
     """Build a :class:`Candidate` from a node set (assumed feasible)."""
-    node_list = sorted(set(nodes))
-    node_set = set(node_list)
+    node_set = nodes if isinstance(nodes, frozenset) else frozenset(nodes)
+    node_list = sorted(node_set)
     preds = {n: [p for p in dfg.preds(n) if p in node_set] for n in node_list}
     ops = {n: dfg.op(n) for n in node_list}
     cost = model.subgraph_cost(node_list, preds, ops)
-    io = dfg.io_count(node_list)
+    io = dfg.io_count(node_set)
     return Candidate(
         block_index=block_index,
-        nodes=frozenset(node_list),
+        nodes=node_set,
         sw_cycles=cost.sw_cycles,
         hw_cycles=cost.hw_cycles,
         area=cost.area,
         inputs=io.inputs,
         outputs=io.outputs,
         frequency=frequency,
-        structural_key=dfg.structural_key(node_list),
+        structural_key=induced_structural_key(node_list, preds, ops),
     )
 
 

@@ -22,7 +22,7 @@ order) because candidate enumeration performs millions of subgraph queries.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 import networkx as nx
@@ -30,7 +30,7 @@ import networkx as nx
 from repro.errors import GraphError
 from repro.isa.opcodes import Opcode, is_valid_op, op_info
 
-__all__ = ["DataFlowGraph", "DFGMasks", "IOCount"]
+__all__ = ["DataFlowGraph", "DFGMasks", "IOCount", "induced_structural_key"]
 
 
 @dataclass(frozen=True)
@@ -378,17 +378,36 @@ class DataFlowGraph:
 
         Computed as the sorted multiset of per-node canonical labels, where a
         node's label is built bottom-up from its opcode and the labels of its
-        in-subgraph predecessors.  Subgraphs with equal keys are structurally
-        identical (same DAG shape and opcodes), so a single hardware datapath
-        can serve both (thesis Section 5.2: "identify isomorphic custom
-        instructions ... take advantage of hardware area sharing").
+        in-subgraph predecessors (:func:`induced_structural_key`).  Subgraphs
+        with equal keys are structurally identical (same DAG shape and
+        opcodes), so a single hardware datapath can serve both (thesis
+        Section 5.2: "identify isomorphic custom instructions ... take
+        advantage of hardware area sharing").
         """
         sub = sorted(set(subgraph))
         sub_set = set(sub)
-        label: dict[int, tuple] = {}
-        for n in sub:  # ids are topological
-            pred_labels = tuple(
-                sorted(label[p] for p in self._preds[n] if p in sub_set)
-            )
-            label[n] = (self._nodes[n].op.value, pred_labels)
-        return tuple(sorted(label[n] for n in sub))
+        preds = {n: [p for p in self._preds[n] if p in sub_set] for n in sub}
+        ops = {n: self._nodes[n].op for n in sub}
+        return induced_structural_key(sub, preds, ops)
+
+
+def induced_structural_key(
+    nodes: Iterable[int],
+    preds: Mapping[int, Iterable[int]],
+    node_op: Mapping[int, Opcode],
+) -> tuple:
+    """Structural key of an induced subgraph given as its own maps.
+
+    The single labelling rule behind :meth:`DataFlowGraph.structural_key`,
+    shared with callers that already hold the induced maps (candidate
+    costing builds them anyway).
+
+    Args:
+        nodes: member ids in topological (increasing) order.
+        preds: each member's predecessors *within* the subgraph.
+        node_op: each member's opcode.
+    """
+    label: dict[int, tuple] = {}
+    for n in nodes:
+        label[n] = (node_op[n].value, tuple(sorted(label[p] for p in preds[n])))
+    return tuple(sorted(label.values()))

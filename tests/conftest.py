@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import faulthandler
+import os
 import random
 
 import pytest
@@ -10,6 +12,36 @@ from repro import obs
 from repro.graphs.dfg import DataFlowGraph
 from repro.graphs.program import Block, Loop, Program, Seq
 from repro.isa.opcodes import Opcode
+
+
+#: Per-test hang bound in seconds: about 8x the slowest test.  A test
+#: still running when it expires dumps every thread's stack and ends the
+#: run with a failure instead of letting a hang pass slowly.
+TEST_TIMEOUT_S = 60
+
+#: Where the watchdog writes: a duplicate of the terminal's stderr, taken
+#: in ``pytest_configure`` while output capture is suspended (a dump into
+#: a per-test capture buffer would be lost when the process exits).
+_hang_dump_fd = 2
+
+
+def pytest_configure(config):
+    global _hang_dump_fd
+    _hang_dump_fd = os.dup(2)
+
+
+def pytest_unconfigure(config):
+    os.close(_hang_dump_fd)
+
+
+@pytest.fixture(autouse=True)
+def _hang_bound():
+    """Arm a watchdog for each test (``pytest-timeout`` is not a dependency)."""
+    faulthandler.dump_traceback_later(
+        TEST_TIMEOUT_S, exit=True, file=_hang_dump_fd
+    )
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(autouse=True)

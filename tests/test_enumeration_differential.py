@@ -11,20 +11,24 @@ or not.  The bitset engine is in turn candidate-identical to the
 original set-based reference.  These tests enforce all three promises
 across seeded random DFGs, synthetic blocks and real benchmark blocks,
 mirroring :mod:`tests.test_partitioning_differential` for the
-partitioning engines.  On hosts without numba the compiled kernels run
+partitioning engines.  Under binding budgets the bitset engine's own
+answers are pinned: :class:`TestBitsetPinned` records the ordered
+candidate lists and all five counters on real Table 3.1 hot blocks, so
+a speed change to the engine cannot silently change what it returns.  On hosts without numba the compiled kernels run
 under the interpreted tier (:func:`repro.jit.force_interp_for_tests`)
 — same logic, bit for bit.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
 from repro import jit, npbits
 from repro.enumeration import enumerate_connected
-from repro.enumeration import mimo_array, mimo_compiled
+from repro.enumeration import make_candidate, mimo_array, mimo_compiled
 from repro.workloads import get_program
 from repro.workloads.synthesis import OP_MIXES, synth_dfg
 from tests.conftest import random_small_dfg
@@ -274,3 +278,77 @@ class TestIngestedDifferential:
             _assert_quartet_identical(
                 block.dfg, max_inputs=4, max_outputs=2, max_size=6, **NO_BUDGET
             )
+
+
+class TestBitsetPinned:
+    """The bitset engine's answers under *binding* budgets, pinned.
+
+    Each case is an unsalted Table 3.1 hot block at the candidate-library
+    defaults (4 inputs, 2 outputs, up to 12 operations, 2000 candidates
+    per block) where the per-root visit budget, or the candidate cap,
+    cuts the search.  The digest covers every candidate in order, so the
+    visit order itself is pinned: a search that spends the budget on a
+    different node returns a different list.
+    """
+
+    LIBRARY_DEFAULTS = dict(
+        max_inputs=4, max_outputs=2, max_size=12, max_candidates=2000
+    )
+
+    # (program, block, overrides, candidates, sha256, counters in
+    # STAT_KEYS order)
+    CASES = (
+        ("blowfish", 2, {}, 968,
+         "65f77e82064605659f930d80ab012298ec2e3394662268655cade329df7025c3",
+         (27239, 1051, 104, 15545, 443)),
+        ("sha", 2, {}, 934,
+         "abb3e0e12a2ec137a78642d4c2d317823e28650b944ad1c28489bb5e775a8e6a",
+         (34364, 1010, 139, 19165, 369)),
+        ("jpeg_decoder", 2, {}, 292,
+         "871af069b3c0d48027cae7db96aca5d11d1c6b6a8a13af11a7ccb32dd6a83a04",
+         (10635, 315, 25, 6341, 205)),
+        ("susan", 2, {}, 226,
+         "0e5063ac88b358c248ed7fc67070eb99d10063ee5bbb24e95d3cf160aec82946",
+         (15961, 252, 35, 8396, 112)),
+        ("sha", 4, {"max_visited": 500}, 155,
+         "b4e7c65f489560d42d475b6d2853ca6a48cfd024d2a617b1849ed72f7b933753",
+         (2828, 183, 10, 1079, 67)),
+        ("g721_encoder", 2, {"max_candidates": 50}, 46,
+         "bcacc8f23434a964c3a1115cb813a7e54b50f2b9e0e42b28812ad7bfa9279603",
+         (1613, 50, 5, 872, 14)),
+    )
+
+    @pytest.mark.parametrize(
+        "name,block,overrides,count,digest,counters",
+        CASES,
+        ids=[f"{c[0]}-b{c[1]}-{'-'.join(c[2]) or 'defaults'}" for c in CASES],
+    )
+    def test_binding_budget_answers_pinned(
+        self, name, block, overrides, count, digest, counters
+    ):
+        dfg = get_program(name).basic_blocks[block].dfg
+        out, stats = _run(
+            dfg, "bitset", **dict(self.LIBRARY_DEFAULTS, **overrides)
+        )
+        assert stats["pruned_visit_budget"] > 0, "budget must bind"
+        assert len(out) == count
+        ordered = repr([sorted(s) for s in out]).encode()
+        assert hashlib.sha256(ordered).hexdigest() == digest
+        assert tuple(stats[k] for k in STAT_KEYS) == counters
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_candidate_fields_match_graph_queries(self, seed):
+        """``make_candidate`` builds its key and port counts from its own
+        induced maps; they must equal the graph's direct queries."""
+        rng = random.Random(seed)
+        dfg = synth_dfg(rng, 40, OP_MIXES["crypto" if seed % 2 else "dsp"])
+        node_sets = enumerate_connected(dfg, 4, 2, max_size=8)
+        assert node_sets
+        for nodes in rng.sample(node_sets, min(40, len(node_sets))):
+            cand = make_candidate(dfg, nodes)
+            assert cand.nodes == nodes
+            assert cand.structural_key == dfg.structural_key(nodes)
+            io = dfg.io_count(nodes)
+            assert (cand.inputs, cand.outputs) == (io.inputs, io.outputs)
+            assert cand.inputs <= 4 and cand.outputs <= 2
+            assert make_candidate(dfg, sorted(nodes)) == cand

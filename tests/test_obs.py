@@ -35,6 +35,26 @@ def _traced_job(x: int) -> int:
     return x + 1
 
 
+class TestIdentifySpans:
+    def test_search_and_cost_split_per_hot_block(self, tracing, tiny_program):
+        """``identify.enumerate`` has one ``identify.search`` and one
+        ``identify.cost`` child per hot block, in that order."""
+        from repro.enumeration import build_candidate_library
+        from repro.enumeration.library import hot_block_indices
+
+        build_candidate_library(tiny_program, use_cache=False)
+        spans = obs.trace_spans()
+        (outer,) = [s for s in spans if s["name"] == "identify.enumerate"]
+        children = [s for s in spans if s["parent"] == outer["id"]]
+        hot = hot_block_indices(tiny_program)
+        assert hot
+        assert [(s["name"], s["attrs"]["block"]) for s in children] == [
+            (name, i) for i in hot
+            for name in ("identify.search", "identify.cost")
+        ]
+        assert sum(s["dur"] for s in children) <= outer["dur"]
+
+
 class TestSpans:
     def test_disabled_span_is_shared_noop(self):
         assert not obs.tracing_enabled()
