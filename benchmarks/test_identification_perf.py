@@ -9,14 +9,7 @@ compare like with like:
 * ``reference_cold`` — the original set-based ESU enumerator, no caching;
 * ``bitset_cold``    — the bitset engine;
 * ``bitset_warm``    — the bitset engine re-run directly after
-  ``bitset_cold``, on the caches that row primed;
-* ``array_cold``     — the array engine;
-* ``compiled_cold``  — the compiled engine; under a numba toolchain its
-  first call additionally pays the (disk-cached) JIT build, which is
-  exactly what a cold pipeline run pays — on hosts without numba the row
-  measures the array-fallback ladder instead (the payload's ``jit`` block
-  records which);
-* ``auto_cold``      — ``engine="auto"`` per-block dispatch.
+  ``bitset_cold``, on the caches that row primed.
 
 Only the per-DFG bitset masks, which live on the program objects, are
 shared: the first row to enumerate builds them.
@@ -35,10 +28,8 @@ from __future__ import annotations
 import math
 import time
 
-import warnings
-
 from benchmarks.common import emit_json, reset_stages, stage, stage_report
-from repro import cache, jit, obs
+from repro import cache, obs
 from repro.core import select_edf, select_rms
 from repro.enumeration import build_candidate_library
 from repro.rtsched import PeriodicTask, scale_periods_for_utilization
@@ -138,8 +129,7 @@ def _enumeration_seconds(engine: str, repeats: int = ENUM_REPEATS) -> float:
     full sweep — the engine's kernel time with warm masks/constants,
     insulated from one-off scheduler stalls and from the
     candidate-costing allocator churn a full library build interleaves.
-    This is the figure behind the ``*_enumeration_best`` speedup and the
-    array-vs-bitset soft guard.
+    This is the figure behind the ``*_enumeration_best`` speedup.
     """
     from repro.enumeration import enumerate_connected
     from repro.enumeration.library import hot_block_indices
@@ -190,30 +180,13 @@ def test_identification_pipeline_speed(benchmark):
     reference = _run_pipeline("reference", use_cache=False, label="reference_cold")
 
     cache.clear()
+    obs.reset()  # the payload's metrics block covers the bitset rows only
     cold = _run_pipeline("bitset", use_cache=True, label="bitset_cold")
     warm = benchmark.pedantic(
         _run_pipeline, args=("bitset", True, "bitset_warm"), rounds=1, iterations=1
     )
 
-    cache.clear()
-    array_cold = _run_pipeline("array", use_cache=True, label="array_cold")
-
-    obs.reset()  # fresh fallback counters for the jit payload block
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        cache.clear()
-        compiled_cold = _run_pipeline(
-            "compiled", use_cache=True, label="compiled_cold"
-        )
-        cache.clear()
-        auto_cold = _run_pipeline("auto", use_cache=True, label="auto_cold")
-
     bitset_best = _enumeration_seconds("bitset")
-    array_best = _enumeration_seconds("array")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        compiled_best = _enumeration_seconds("compiled")
-        auto_best = _enumeration_seconds("auto")
     # The reference engine is ~10x slower, so noise is proportionally
     # smaller — two repeats suffice.
     reference_best = _enumeration_seconds("reference", repeats=2)
@@ -221,22 +194,13 @@ def test_identification_pipeline_speed(benchmark):
     def ratio(a: float, b: float) -> float:
         return round(a / b, 2) if b > 0 else math.inf
 
-    fallbacks = obs.metrics_snapshot()["counters"].get("jit.fallback", 0)
     payload = {
         "workload": "figure_3_3",
-        "rows": [reference, cold, warm, array_cold, compiled_cold, auto_cold],
-        "jit": {
-            "toolchain": jit.toolchain(),
-            "kernel_builds": jit.kernel_build_count(),
-            "fallbacks": fallbacks,
-        },
+        "rows": [reference, cold, warm],
         "enumeration_best_of": {
             "repeats": ENUM_REPEATS,
             "reference_seconds": round(reference_best, 4),
             "bitset_seconds": round(bitset_best, 4),
-            "array_seconds": round(array_best, 4),
-            "compiled_seconds": round(compiled_best, 4),
-            "auto_seconds": round(auto_best, 4),
         },
         "speedups": {
             "bitset_vs_reference_identification": ratio(
@@ -248,26 +212,8 @@ def test_identification_pipeline_speed(benchmark):
             "bitset_vs_reference_enumeration": ratio(
                 reference["enumerate_seconds"], cold["enumerate_seconds"]
             ),
-            "array_vs_bitset_enumeration": ratio(
-                cold["enumerate_seconds"], array_cold["enumerate_seconds"]
-            ),
-            "array_vs_reference_enumeration": ratio(
-                reference["enumerate_seconds"], array_cold["enumerate_seconds"]
-            ),
-            "array_vs_bitset_enumeration_best": ratio(
-                bitset_best, array_best
-            ),
-            "array_vs_reference_enumeration_best": ratio(
-                reference_best, array_best
-            ),
-            "compiled_vs_array_enumeration_best": ratio(
-                array_best, compiled_best
-            ),
-            "compiled_vs_bitset_enumeration_best": ratio(
-                bitset_best, compiled_best
-            ),
-            "auto_vs_best_engine_enumeration_best": ratio(
-                min(bitset_best, array_best, compiled_best), auto_best
+            "bitset_vs_reference_enumeration_best": ratio(
+                reference_best, bitset_best
             ),
             "warm_vs_cold_identification": ratio(
                 cold["identification_seconds"], warm["identification_seconds"]
@@ -289,20 +235,3 @@ def test_identification_pipeline_speed(benchmark):
     assert speedups["bitset_vs_reference_identification"] >= 2.0
     assert speedups["warm_vs_cold_identification"] >= 5.0
     assert warm["total_seconds"] < cold["total_seconds"]
-    # Soft perf guard: the array engine must not enumerate slower than the
-    # bitset engine.  Since the bitset engine checks children from their
-    # parent the two are close on these blocks (best-of-N ratio 1.0-1.2
-    # on a 2-CPU host), so this floor now has little margin.
-    assert speedups["array_vs_bitset_enumeration_best"] >= 1.0
-    # Soft guard: compiled must at least keep pace with array.  Under a
-    # numba toolchain it runs real kernels (observed well above 1.0);
-    # without one it IS the array engine behind a fallback shim, so only
-    # dispatch noise separates the two — allow 15% for it.
-    floor = 1.0 if jit.toolchain() == "numba" else 0.85
-    assert speedups["compiled_vs_array_enumeration_best"] >= floor
-    # Auto dispatch must track the best hand-picked engine.  The hard
-    # per-row 10% guard lives in benchmarks/test_scalability.py (with an
-    # absolute slack term); this best-of ratio has no slack term, so it
-    # gets a slightly looser floor — on this sub-second sweep auto IS
-    # the engine it resolves to and only timer noise separates them.
-    assert speedups["auto_vs_best_engine_enumeration_best"] >= 0.85

@@ -25,8 +25,8 @@ from repro.selection.config_curve import TaskConfiguration
 from repro.workloads.synthesis import OP_MIXES, synth_dfg
 
 
-#: Timed runs per engine and block size in the enumeration sweep; the
-#: row reports the best (as ``test_identification_perf.ENUM_REPEATS``).
+#: Timed runs per block size in the enumeration sweep; the row reports
+#: the best (as ``test_identification_perf.ENUM_REPEATS``).
 ENUM_REPEATS = 5
 
 
@@ -90,100 +90,32 @@ def test_scalability_rms_bb(benchmark):
 
 
 def test_scalability_enumeration(benchmark):
-    import warnings
-
-    from repro import jit
-
     def run():
-        # Candidate counts differ between the engines on the larger blocks:
-        # the default visit budgets bind there, and a binding per-root
-        # budget is spent depth-first (bitset) vs breadth-first
-        # (array/compiled) — both deterministic, with the BFS order
-        # reaching more feasible subgraphs inside the same budget.
-        # Per-candidate microseconds is the comparable figure; the array
-        # engine wins on small and mid-size blocks, is at parity with
-        # bitset around 500 ops and delegates larger blocks
-        # (>= ARRAY_MAX_NODES, where the bitset DFS is faster) back to
-        # the bitset kernel.  The compiled
-        # column runs the JIT kernels where a numba toolchain is present
-        # and IS the array engine (plus a one-shot fallback warning)
-        # otherwise — the header records which.  engine="auto" picks per
-        # block and must track the best column everywhere.  Bit-identity
-        # under non-binding budgets is
-        # tests/test_enumeration_differential.py.
-        lines = [
-            f"# jit_toolchain={jit.toolchain()}",
-            "block_ops  bitset_cands  array_cands  compiled_cands"
-            "  auto_cands  bitset_ms  array_ms  compiled_ms  auto_ms"
-            "  bitset_us_per_cand  array_us_per_cand  compiled_us_per_cand",
-        ]
-        engines = ("bitset", "array", "compiled", "auto")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for n_ops in (50, 100, 250, 500, 1000, 2000):
-                rng = random.Random(n_ops)
-                dfg = synth_dfg(rng, n_ops, OP_MIXES["crypto"])
-                res = {}
-                ms = dict.fromkeys(engines, float("inf"))
-                # Best of ENUM_REPEATS per engine, the engines taking turns
-                # within each repeat: neither the shared per-DFG masks
-                # (built by the first call), a cached-JIT load nor a
-                # seconds-long slow spell of the host lands on one engine.
-                for _ in range(ENUM_REPEATS):
-                    for eng in engines:
-                        t0 = time.perf_counter()
-                        res[eng] = enumerate_connected(dfg, 4, 2, engine=eng)
-                        dt = (time.perf_counter() - t0) * 1000
-                        ms[eng] = min(ms[eng], dt)
-                lines.append(
-                    f"{n_ops:9d}  {len(res['bitset']):12d}  "
-                    f"{len(res['array']):11d}  {len(res['compiled']):14d}  "
-                    f"{len(res['auto']):10d}  "
-                    f"{ms['bitset']:9.1f}  {ms['array']:8.1f}  "
-                    f"{ms['compiled']:11.1f}  {ms['auto']:7.1f}  "
-                    f"{1000 * ms['bitset'] / len(res['bitset']):18.1f}  "
-                    f"{1000 * ms['array'] / len(res['array']):17.1f}  "
-                    f"{1000 * ms['compiled'] / len(res['compiled']):20.1f}"
-                )
+        # Candidate counts stop growing linearly on the larger blocks: the
+        # default visit budgets bind there.  Per-candidate microseconds is
+        # the size-comparable figure.  Equality with the reference engine
+        # under non-binding budgets is tests/test_enumeration_differential.py.
+        lines = ["block_ops  bitset_cands  bitset_ms  bitset_us_per_cand"]
+        for n_ops in (50, 100, 250, 500, 1000, 2000):
+            rng = random.Random(n_ops)
+            dfg = synth_dfg(rng, n_ops, OP_MIXES["crypto"])
+            ms = float("inf")
+            # Best of ENUM_REPEATS: neither the per-DFG masks (built by
+            # the first call) nor a slow spell of the host lands in a row.
+            for _ in range(ENUM_REPEATS):
+                t0 = time.perf_counter()
+                res = enumerate_connected(dfg, 4, 2, engine="bitset")
+                ms = min(ms, (time.perf_counter() - t0) * 1000)
+            lines.append(
+                f"{n_ops:9d}  {len(res):12d}  {ms:9.1f}  "
+                f"{1000 * ms / len(res):18.1f}"
+            )
         return lines
 
     lines = once(benchmark, run)
     emit("scalability_enumeration", lines)
-    rows = [
-        l for l in lines if not l.startswith(("#", "block_ops"))
-    ]
     # Budgeted enumeration: bounded wall time even at 2000 ops.
-    for col in (5, 6, 7, 8):
-        assert all(float(l.split()[col]) < 15_000 for l in rows)
-    for line in rows:
-        cols = line.split()
-        bitset_ms, array_ms = float(cols[5]), float(cols[6])
-        compiled_ms, auto_ms = float(cols[7]), float(cols[8])
-        # Soft regression guard on the hybrid dispatch: with the
-        # ARRAY_MIN_NODES/ARRAY_MAX_NODES cutoffs in place the array
-        # engine should never lose to bitset by more than ~10% at any
-        # block size (below/above the cutoffs it *is* the bitset kernel
-        # plus dispatch overhead).  The generous absolute slack absorbs
-        # timer noise on the short small-block runs and CI jitter.
-        assert array_ms <= 1.10 * bitset_ms + 75.0, (
-            f"array engine regressed at {cols[0]} ops: "
-            f"{array_ms:.1f}ms vs bitset {bitset_ms:.1f}ms"
-        )
-        # Auto-dispatch guard (hard acceptance): never more than 10%
-        # (plus timer slack) slower than the best hand-picked engine on
-        # any sweep row.
-        best_ms = min(bitset_ms, array_ms, compiled_ms)
-        assert auto_ms <= 1.10 * best_ms + 75.0, (
-            f"auto dispatch regressed at {cols[0]} ops: "
-            f"{auto_ms:.1f}ms vs best engine {best_ms:.1f}ms"
-        )
-        # Soft guard: compiled must at least keep pace with array — real
-        # kernels under numba, the array fallback (plus a counter bump)
-        # without a toolchain.
-        assert compiled_ms <= 1.10 * array_ms + 75.0, (
-            f"compiled engine regressed at {cols[0]} ops: "
-            f"{compiled_ms:.1f}ms vs array {array_ms:.1f}ms"
-        )
+    assert all(float(l.split()[2]) < 15_000 for l in lines[1:])
 
 
 def test_scalability_kway(benchmark):

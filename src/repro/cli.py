@@ -76,14 +76,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the in-process artifact cache")
     parser.add_argument("--engine",
-                        choices=("bitset", "array", "compiled", "auto",
-                                 "reference"),
+                        choices=("bitset", "reference"),
                         default="bitset",
                         help="candidate-enumeration engine (default bitset; "
-                             "array = vectorized frontier batching, "
-                             "compiled = JIT kernels when numba is "
-                             "installed, auto = pick per block; "
-                             "bit-identical results)")
+                             "reference = the set-based oracle; results "
+                             "match unless a visit budget binds, where "
+                             "bitset reaches more candidates)")
     parser.add_argument("--trace", metavar="FILE", default=None,
                         help="record a span trace of this run as JSONL")
     parser.add_argument("--metrics", action="store_true", default=False,
@@ -176,13 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="utilization target to customize down to "
                              "(default 1.0)")
     p_mlgp.add_argument("--engine", dest="part_engine",
-                        choices=("fast", "array", "compiled", "auto",
-                                 "reference"),
+                        choices=("fast", "reference"),
                         default="fast",
                         help="MLGP engine (bit-identical; default fast; "
-                             "array = batched move scoring, compiled = "
-                             "JIT-kernel scoring when numba is installed, "
-                             "auto = compiled if available else array)")
+                             "reference = the frozenset oracle)")
     p_mlgp.add_argument("--seed", type=int, default=0,
                         help="MLGP seed (default 0)")
     p_mlgp.add_argument("--workers", type=int, default=None,

@@ -2,11 +2,7 @@
 
 from repro.enumeration.disconnected import components_independent, pair_disconnected
 from repro.enumeration.library import build_candidate_library, hot_block_indices
-from repro.enumeration.mimo import (
-    enumerate_connected,
-    enumerate_exhaustive,
-    resolve_auto_engine,
-)
+from repro.enumeration.mimo import enumerate_connected, enumerate_exhaustive
 from repro.enumeration.miso import maximal_misos
 from repro.enumeration.patterns import Candidate, CandidateLibrary, make_candidate
 
@@ -17,7 +13,6 @@ __all__ = [
     "hot_block_indices",
     "enumerate_connected",
     "enumerate_exhaustive",
-    "resolve_auto_engine",
     "maximal_misos",
     "Candidate",
     "CandidateLibrary",

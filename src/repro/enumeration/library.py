@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import time
 
-from repro import cache, jit, obs
-from repro.enumeration.mimo import enumerate_connected
+from repro import cache, obs
+from repro.enumeration.mimo import ENGINES, enumerate_connected
 from repro.enumeration.patterns import CandidateLibrary, make_candidate
 from repro.graphs.program import Program
 from repro.isa.costmodel import DEFAULT_COST_MODEL, HardwareCostModel
@@ -86,6 +86,12 @@ def build_candidate_library(
         A :class:`CandidateLibrary` with profitable candidates only, ordered
         by decreasing total gain.
     """
+    if engine not in ENGINES:
+        # Checked before the cache lookup so a retired engine name can
+        # never be served an artifact stored under it by an older build.
+        raise ValueError(
+            f"unknown engine {engine!r}; use one of {', '.join(ENGINES)}"
+        )
     key = None
     if use_cache:
         key = cache.artifact_key(
@@ -98,11 +104,9 @@ def build_candidate_library(
             max_candidates_per_block=max_candidates_per_block,
             include_disconnected=include_disconnected,
             max_disconnected_per_block=max_disconnected_per_block,
-            # Toolchain-dependent engines ("auto", "compiled") resolve to
-            # different search orders per host; tag them so shared caches
-            # never cross-serve artifacts (see jit.engine_cache_tag).
             model=(type(model).__name__, model.cycle_delay),
-            engine=jit.engine_cache_tag(engine),
+            # The engines differ under binding visit budgets.
+            engine=engine,
         )
         hit = cache.fetch_candidates(key)
         if hit is not None:

@@ -8,17 +8,10 @@ enumerators are provided:
   subgraphs without duplicates (each subgraph is generated exactly once from
   its minimum-id node), filtered by the I/O and convexity constraints, with
   size and count caps.  This is the production enumerator used to build
-  candidate libraries.  Four engines implement it: the default
+  candidate libraries.  Two engines implement it: the default
   ``"bitset"`` engine represents subgraphs as Python int bitmasks with
-  incremental feasibility tracking, the ``"array"`` engine batches the
-  same search level-synchronously over NumPy uint64 bitset matrices
-  (:mod:`repro.enumeration.mimo_array`), the ``"compiled"`` engine runs
-  the same level walk as JIT-compiled kernels when a toolchain is up
-  (:mod:`repro.enumeration.mimo_compiled`, falling back to the array
-  engine otherwise), and the ``"reference"`` engine is the original
-  set-based implementation kept for differential testing.  On top of
-  the family, ``engine="auto"`` picks per block via
-  :func:`resolve_auto_engine` (block size × toolchain availability).
+  incremental feasibility tracking, and the ``"reference"`` engine is
+  the original set-based implementation kept for differential testing.
 * :func:`enumerate_exhaustive` — plain subset enumeration over a (small)
   node set; exact but exponential.  Used by tests as ground truth and for
   tiny regions.
@@ -33,42 +26,11 @@ from repro.graphs.dfg import DataFlowGraph
 __all__ = [
     "enumerate_connected",
     "enumerate_exhaustive",
-    "resolve_auto_engine",
     "ENGINES",
 ]
 
 #: Engine names accepted by :func:`enumerate_connected`.
-ENGINES = ("bitset", "array", "compiled", "auto", "reference")
-
-
-def resolve_auto_engine(n_nodes: int) -> str:
-    """The concrete engine ``engine="auto"`` picks for an *n_nodes* block.
-
-    The table replaces the hand-tuned reading of the
-    ``ARRAY_MIN_NODES``/``ARRAY_MAX_NODES`` cliffs at call sites:
-
-    * a **numba** toolchain wins on every block large enough to amortize
-      its per-call packing (the lower cliff is shared with the array
-      engine) and has no upper cliff — the compiled walk keeps its
-      per-candidate advantage where the NumPy frontier outgrows cache;
-    * otherwise the measured array/bitset crossovers apply: bitset below
-      ``ARRAY_MIN_NODES`` and at/above ``ARRAY_MAX_NODES``, array in
-      between.  The ``"interp"`` test tier is deliberately *not*
-      selected — interpreted kernels are orders of magnitude slower than
-      the vectorized array engine and exist only so differential tests
-      can execute the kernel logic without numba.
-    """
-    from repro import jit
-    from repro.enumeration import mimo_array, mimo_compiled
-
-    if (
-        jit.toolchain() == "numba"
-        and n_nodes >= mimo_compiled.COMPILED_MIN_NODES
-    ):
-        return "compiled"
-    if mimo_array.ARRAY_MIN_NODES <= n_nodes < mimo_array.ARRAY_MAX_NODES:
-        return "array"
-    return "bitset"
+ENGINES = ("bitset", "reference")
 
 
 def _undirected_adjacency(
@@ -118,63 +80,23 @@ def enumerate_connected(
             to ``25 x max_candidates``.  Bounds worst-case runtime on large
             dense blocks.
         engine: ``"bitset"`` (default; int-bitmask subgraphs, incremental
-            feasibility, monotone input-bound pruning), ``"array"`` (the
-            same search batched level-synchronously over NumPy uint64
-            bitset matrices — one vectorized scoring pass per subgraph
-            size instead of per-candidate Python branches),
-            ``"compiled"`` (the array engine's level walk as
-            JIT-compiled kernels; bit-identical to ``"array"`` at every
-            budget, degrading to it when no toolchain is available — see
-            :mod:`repro.enumeration.mimo_compiled`), ``"auto"`` (pick
-            per block via :func:`resolve_auto_engine`) or
-            ``"reference"`` (the original set-based path).  All engines
-            return the same candidate set when the visit budgets and
-            candidate caps do not bind; under binding budgets the bitset
-            engine's pruning lets it reach more feasible subgraphs than
-            the reference within the same budget, and the array/compiled
-            engines spend the same per-root budgets breadth-first
-            instead of depth-first (deterministically — see
-            :mod:`repro.enumeration.mimo_array`).
+            feasibility, monotone input-bound pruning) or ``"reference"``
+            (the original set-based path).  Both engines return the same
+            candidate set when the visit budgets and candidate caps do
+            not bind; under binding budgets the bitset engine's pruning
+            lets it reach more feasible subgraphs than the reference
+            within the same budget.
         stats: optional dict; when given, ``"visited"`` and ``"feasible"``
             counters are accumulated into it (for the benchmark harness).
-            The bitset and array engines additionally accumulate
-            per-constraint prune counters: ``"pruned_visit_budget"``
-            (visit-budget cuts), ``"pruned_inputs"`` (monotone input-bound
-            cuts) and ``"pruned_outputs"`` (output-port rejections); the
-            two tallies are bit-identical whenever budgets/caps do not
-            bind.
+            The bitset engine additionally accumulates per-constraint
+            prune counters: ``"pruned_visit_budget"`` (visit-budget
+            cuts), ``"pruned_inputs"`` (monotone input-bound cuts) and
+            ``"pruned_outputs"`` (output-port rejections).
 
     Returns:
         Feasible candidate node sets, largest first.
     """
-    if engine == "auto":
-        engine = resolve_auto_engine(len(dfg))
     if engine == "bitset":
-        return _enumerate_bitset(
-            dfg, max_inputs, max_outputs, max_size, max_candidates,
-            min_size, max_visited, stats,
-        )
-    if engine == "compiled":
-        from repro.enumeration import mimo_compiled
-
-        return mimo_compiled.enumerate_connected_compiled(
-            dfg, max_inputs, max_outputs, max_size, max_candidates,
-            min_size, max_visited, stats,
-        )
-    if engine == "array":
-        from repro.enumeration import mimo_array
-
-        if mimo_array.ARRAY_MIN_NODES <= len(dfg) < mimo_array.ARRAY_MAX_NODES:
-            return mimo_array.enumerate_array(
-                dfg, max_inputs, max_outputs, max_size, max_candidates,
-                min_size, max_visited, stats,
-            )
-        # Tiny blocks: per-level NumPy call overhead outweighs batching.
-        # Very large blocks: the level frontier's bitset matrices outgrow
-        # the cache and the DFS wins.  Either way the bitset kernel walks
-        # the same tree faster, so the array engine delegates (same
-        # results whenever budgets/caps don't bind, and deterministic
-        # either way).
         return _enumerate_bitset(
             dfg, max_inputs, max_outputs, max_size, max_candidates,
             min_size, max_visited, stats,

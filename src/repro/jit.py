@@ -1,232 +1,16 @@
-"""JIT toolchain gateway for the ``engine="compiled"`` kernels.
+"""Host toolchain probe kept for benchmark host blocks.
 
-The compiled engines (:mod:`repro.enumeration.mimo_compiled`,
-:mod:`repro.mlgp.mlgp_compiled`) express their hot loops as
-**nopython-style Python functions** over packed uint64 NumPy matrices —
-no Python objects, no fancy indexing, scalar word loops only.  This
-module decides what actually executes them:
-
-* ``"numba"`` — :func:`numba.njit` (nopython, ``cache=True``) compiles
-  the registered kernel functions on first use.  This is the production
-  tier: the same functions, machine code instead of bytecode.
-* ``"interp"`` — the registered functions run under the plain
-  interpreter.  Far too slow to ever *dispatch* to in production (the
-  vectorized array engine wins by orders of magnitude), it exists so the
-  differential suites can execute the exact kernel logic bit-for-bit on
-  hosts without numba.  Enabled only via :func:`force_interp_for_tests`
-  or the ``REPRO_JIT_INTERP`` environment variable.
-* ``"none"`` — no toolchain.  ``engine="compiled"`` callers consult
-  :func:`available` and degrade to the array kernels after a one-shot
-  :func:`repro.obs.warn_once` plus a ``jit.fallback`` counter (see
-  :func:`note_fallback`); nothing errors.
-
-The ``REPRO_NO_NUMBA`` environment variable (non-empty) is a kill
-switch mirroring ``REPRO_NO_BITWISE_COUNT``: it forces ``"none"`` no
-matter what is importable, so the fallback ladder
-compiled → array → bitset stays exercised on CI even where numba is
-installed.
-
-Kernel builds are memoized per name and counted in the
-``jit.kernel_build`` metric — the warm-vs-cold test asserts the second
-``get_kernel`` call returns the cached callable without rebuilding.
-With numba the dispatcher additionally persists machine code on disk
-(``cache=True``), so even the first call of a fresh process skips
-LLVM when a prior run compiled the same kernel.
+The package ships no JIT-compiled kernels, so :func:`toolchain` always
+reports ``"none"``.  The module exists only because
+``perfbench/run.py::host_block`` imports it to record the host's
+toolchain in every benchmark report; deleting it would break those runs.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable
-
-from repro import obs
-
-__all__ = [
-    "available",
-    "toolchain",
-    "register_kernel",
-    "get_kernel",
-    "kernel_build_count",
-    "note_fallback",
-    "engine_cache_tag",
-    "reset_toolchain_cache",
-    "force_interp_for_tests",
-    "ENV_NO_NUMBA",
-    "ENV_FORCE_INTERP",
-]
-
-#: Kill switch: non-empty disables every JIT tier (``toolchain() == "none"``).
-ENV_NO_NUMBA = "REPRO_NO_NUMBA"
-
-#: Dev/test knob: non-empty runs the kernels interpreted when numba is
-#: absent (never preferred over numba when both would apply).
-ENV_FORCE_INTERP = "REPRO_JIT_INTERP"
-
-#: Resolved toolchain, computed lazily; ``None`` means "not probed yet".
-_toolchain: str | None = None
-
-#: Registered pure-Python kernel functions by name.
-_REGISTRY: dict[str, Callable] = {}
-
-#: Built (jitted or interpreted) callables by name.
-_BUILT: dict[str, Callable] = {}
-
-#: Total kernel builds this process (mirrors the ``jit.kernel_build``
-#: metric but survives :func:`repro.obs.reset`).
-_build_count = 0
-
-
-def _probe() -> str:
-    """Resolve the toolchain tier from the environment (uncached)."""
-    if os.environ.get(ENV_NO_NUMBA):
-        return "none"
-    try:
-        import numba  # noqa: F401
-
-        return "numba"
-    except Exception:
-        pass
-    if os.environ.get(ENV_FORCE_INTERP):
-        return "interp"
-    return "none"
+__all__ = ["toolchain"]
 
 
 def toolchain() -> str:
-    """The active JIT tier: ``"numba"``, ``"interp"`` or ``"none"``."""
-    global _toolchain
-    if _toolchain is None:
-        _toolchain = _probe()
-    return _toolchain
-
-
-def available() -> bool:
-    """True when ``engine="compiled"`` has something to execute with."""
-    return toolchain() != "none"
-
-
-def reset_toolchain_cache() -> None:
-    """Re-probe the environment on next use (tests flip the env knobs).
-
-    Built kernels are dropped too: a kernel compiled under one tier must
-    not leak into another (e.g. after setting ``REPRO_NO_NUMBA``).
-    """
-    global _toolchain
-    _toolchain = None
-    _BUILT.clear()
-
-
-def force_interp_for_tests(monkeypatch) -> str:
-    """Make ``engine="compiled"`` executable for a differential test.
-
-    When a real toolchain (numba) is importable and not killed, this is
-    a no-op — the test then exercises the machine-code tier.  Otherwise
-    the interpreted tier is forced so the identical kernel logic still
-    runs bit-for-bit.  Returns the resulting tier.
-    """
-    monkeypatch.delenv(ENV_NO_NUMBA, raising=False)
-    monkeypatch.setenv(ENV_FORCE_INTERP, "1")
-    reset_toolchain_cache()
-    return toolchain()
-
-
-def register_kernel(name: str) -> Callable[[Callable], Callable]:
-    """Decorator: register *func* as the pure-Python body of kernel *name*.
-
-    The decorated function itself is returned unchanged — modules keep a
-    plain importable reference; execution goes through
-    :func:`get_kernel`.
-    """
-
-    def deco(func: Callable) -> Callable:
-        _REGISTRY[name] = func
-        return func
-
-    return deco
-
-
-def _build(func: Callable) -> Callable:
-    """Wrap *func* for the active tier (numba njit or interpreted)."""
-    if toolchain() == "numba":
-        import numba
-
-        return numba.njit(cache=True, nogil=True)(func)
-    return func
-
-
-def get_kernel(name: str) -> Callable | None:
-    """The executable kernel *name*, or ``None`` when no toolchain is up.
-
-    The first call per (name, tier) builds and memoizes; later calls
-    return the cached callable — ``jit.kernel_build`` counts builds so
-    tests can assert warm calls skip compilation.
-    """
-    if not available():
-        return None
-    built = _BUILT.get(name)
-    if built is None:
-        if name not in _REGISTRY:
-            # Kernels register at module import; pull in the hosting
-            # modules so callers need not know which module owns a name.
-            from repro.enumeration import mimo_compiled  # noqa: F401
-            from repro.mlgp import mlgp_compiled  # noqa: F401
-        global _build_count
-        built = _build(_REGISTRY[name])
-        _BUILT[name] = built
-        _build_count += 1
-        obs.inc("jit.kernel_build")
-        obs.inc(f"jit.kernel_build.{name}")
-    return built
-
-
-def kernel_build_count() -> int:
-    """Total kernel builds this process (warm-vs-cold test hook)."""
-    return _build_count
-
-
-def note_fallback(site: str) -> None:
-    """Record one compiled→array degradation at *site*.
-
-    Warns once per process epoch (the repeats stay visible through the
-    ``jit.fallback`` counters, per the :func:`repro.obs.warn_once`
-    contract) instead of erroring — ``engine="compiled"`` must stay a
-    safe choice on hosts without the toolchain.
-    """
-    obs.inc("jit.fallback")
-    obs.inc(f"jit.fallback.{site}")
-    if obs.warn_once("jit.toolchain_missing"):
-        import warnings
-
-        warnings.warn(
-            f"engine='compiled' has no JIT toolchain (numba not importable"
-            f" or {ENV_NO_NUMBA} set); falling back to the array kernels"
-            f" (first hit: {site})",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
-def engine_cache_tag(engine: str) -> str:
-    """Cache-key form of an engine name.
-
-    ``"auto"`` and ``"compiled"`` resolve differently depending on the
-    host's toolchain, so two hosts can legitimately compute different
-    (deterministic) results under binding budgets; qualifying the tag
-    keeps their artifacts distinct in shared caches.  The tag encodes
-    the *result-equivalence class*, not the raw tier:
-
-    * ``auto`` dispatches to the compiled kernels only under numba (the
-      interp tier is never auto-selected), so ``auto+jit`` (numba) vs
-      ``auto+cpu`` (interp or none — both resolve to array/bitset);
-    * ``compiled`` runs the kernels under numba *or* interp — bit-
-      identical logic — and degrades to the array engine under
-      ``"none"``; the array engine's upper delegation cliff
-      (``ARRAY_MAX_NODES``) makes that fallback diverge on huge
-      budget-bound blocks, hence ``compiled+jit`` vs ``compiled+cpu``.
-
-    The fixed-strategy engines key as themselves.
-    """
-    if engine == "auto":
-        return "auto+jit" if toolchain() == "numba" else "auto+cpu"
-    if engine == "compiled":
-        return "compiled+jit" if available() else "compiled+cpu"
-    return engine
+    """The active JIT tier: always ``"none"`` (no compiled kernels ship)."""
+    return "none"

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from repro import obs
 from repro.graphs.program import Block, Program
 from repro.isa.costmodel import DEFAULT_COST_MODEL, HardwareCostModel
-from repro.mlgp.mlgp import MlgpResult, mlgp_partition
+from repro.mlgp.mlgp import MlgpResult, check_engine, mlgp_partition
 from repro.parallel import parallel_map
 
 __all__ = ["GeneratedCI", "IterationRecord", "IterativeResult", "iterative_customization", "mlgp_program_profile", "ProfileStep"]
@@ -160,6 +160,7 @@ def iterative_customization(
         An :class:`IterativeResult` with the per-iteration utilization
         trajectory and every committed custom instruction.
     """
+    check_engine(engine)
     start = time.perf_counter()
     states = [
         IterationState(program=p, period=per)
@@ -358,6 +359,7 @@ def mlgp_program_profile(
     ``elapsed`` reflects the parallel wall-clock and ``time_budget`` only
     truncates the fold, not the precompute.
     """
+    check_engine(engine)
     with obs.span("mlgp.profile", program=program.name, engine=engine):
         return _mlgp_program_profile(
             program, max_inputs, max_outputs, model, seed, time_budget,

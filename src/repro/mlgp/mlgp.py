@@ -36,6 +36,17 @@ from repro.mlgp.mlgp_fast import run_fast_mlgp
 
 __all__ = ["MlgpResult", "mlgp_partition"]
 
+#: Engine names accepted by :func:`mlgp_partition`.
+ENGINES = ("fast", "reference")
+
+
+def check_engine(engine: str) -> None:
+    """Raise :class:`ValueError` unless *engine* is one of :data:`ENGINES`."""
+    if engine not in ENGINES:
+        raise ValueError(
+            f"unknown MLGP engine {engine!r}; use one of {', '.join(ENGINES)}"
+        )
+
 
 @dataclass(frozen=True)
 class MlgpResult:
@@ -381,18 +392,10 @@ def mlgp_partition(
         seed: RNG seed for matching/refinement visit order.
         refine_passes: refinement passes per uncoarsening level.
         engine: ``"fast"`` (bitset node sets, memoized projection tables,
-            incremental bookkeeping; see :mod:`repro.mlgp.mlgp_fast`),
-            ``"array"`` (the fast engine with each refinement pass's move
-            evaluations batched into one NumPy pass; see
-            :mod:`repro.mlgp.mlgp_array`), ``"compiled"`` (that batch
-            scoring as a JIT-compiled kernel when a toolchain is up,
-            degrading to the array engine otherwise; see
-            :mod:`repro.mlgp.mlgp_compiled`), ``"auto"`` (compiled under
-            a numba toolchain, array otherwise) or ``"reference"`` (the
-            original frozenset implementation).  All engines produce
-            bit-identical results — the batch verdicts land in the same
-            mask-keyed memo tables — asserted by the differential tests,
-            so the cache key is engine-independent.
+            incremental bookkeeping; see :mod:`repro.mlgp.mlgp_fast`) or
+            ``"reference"`` (the original frozenset implementation).  Both
+            engines produce bit-identical results, asserted by the
+            differential tests, so the cache key is engine-independent.
         use_cache: memoize the result behind a content key (DFG digest +
             region + parameters) in :mod:`repro.cache`.  Only plain
             :class:`HardwareCostModel` instances are content-addressable;
@@ -401,12 +404,7 @@ def mlgp_partition(
     Returns:
         An :class:`MlgpResult` with disjoint feasible partitions.
     """
-    if engine not in ("fast", "array", "compiled", "auto", "reference"):
-        raise ValueError(f"unknown MLGP engine {engine!r}")
-    if engine == "auto":
-        from repro import jit
-
-        engine = "compiled" if jit.toolchain() == "numba" else "array"
+    check_engine(engine)
     key = None
     if use_cache and type(model) is HardwareCostModel:
         key = cache.artifact_key(
@@ -427,18 +425,8 @@ def mlgp_partition(
                 areas=tuple(cached["areas"]),
             )
     with obs.span("mlgp.partition", nodes=len(region), engine=engine):
-        if engine in ("fast", "array", "compiled"):
-            if engine == "array":
-                from repro.mlgp.mlgp_array import run_array_mlgp
-
-                runner = run_array_mlgp
-            elif engine == "compiled":
-                from repro.mlgp.mlgp_compiled import run_compiled_mlgp
-
-                runner = run_compiled_mlgp
-            else:
-                runner = run_fast_mlgp
-            (partitions, gains, areas), counters = runner(
+        if engine == "fast":
+            (partitions, gains, areas), counters = run_fast_mlgp(
                 dfg, region, max_inputs, max_outputs, model, seed, refine_passes
             )
             result = MlgpResult(

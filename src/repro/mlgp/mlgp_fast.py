@@ -649,7 +649,6 @@ def _refine(
     state: _FastPartition,
     rng: random.Random,
     max_passes: int = 3,
-    prefill=None,
 ) -> None:
     ctx = state.ctx
     try_memo = state.try_memo
@@ -663,11 +662,6 @@ def _refine(
         improved = False
         boundary = state.boundary_vertices()
         rng.shuffle(boundary)
-        if prefill is not None:
-            # Array engine hook: batch-evaluate the pass's repair-free
-            # moves into the memo tables (no RNG use, so the stream and
-            # the visit order below are untouched).
-            prefill(state)
         for v in boundary:
             p = assign[v]
             neighbor_parts = {assign[u] for u in adj[v] if assign[u] != p}
@@ -730,25 +724,6 @@ def run_fast_mlgp(
     *counters* carries the local ``moves``/``repairs`` totals for a single
     flush into the metrics registry.
     """
-    return _run_bitset_mlgp(
-        dfg, region, max_inputs, max_outputs, model, seed, refine_passes
-    )
-
-
-def _run_bitset_mlgp(
-    dfg: DataFlowGraph,
-    region: Sequence[int],
-    max_inputs: int,
-    max_outputs: int,
-    model: HardwareCostModel,
-    seed: int,
-    refine_passes: int,
-    prefill=None,
-) -> tuple[
-    tuple[tuple[frozenset[int], ...], tuple[float, ...], tuple[float, ...]],
-    dict[str, int],
-]:
-    """Shared bitset MLGP driver (*prefill* is the array engine's hook)."""
     ctx = _get_ctx(dfg, max_inputs, max_outputs, model)
     ctx.moves = 0
     ctx.repairs = 0
@@ -769,7 +744,7 @@ def _run_bitset_mlgp(
         if li < len(levels) - 1:
             assign = [assign[level.parent[v]] for v in range(len(level.vertices))]
         state = _FastPartition(ctx, level, assign, n_parts)
-        _refine(state, rng, max_passes=refine_passes, prefill=prefill)
+        _refine(state, rng, max_passes=refine_passes)
         assign = state.assign
 
     final = _FastPartition(ctx, levels[0], assign, n_parts)

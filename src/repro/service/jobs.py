@@ -161,28 +161,19 @@ def _joint_fingerprint(programs) -> str:
     return "+".join(cache.program_fingerprint(p) for p in programs)
 
 
-_ENUM_ENGINES = ("bitset", "array", "compiled", "auto", "reference")
-_MLGP_ENGINES = ("fast", "array", "compiled", "auto", "reference")
+_ENUM_ENGINES = ("bitset", "reference")
+_MLGP_ENGINES = ("fast", "reference")
 
 
 def _engine_key(p: dict, kind: str, engines: tuple[str, ...]) -> str:
-    """Validate the engine param and return its cache-key tag.
-
-    ``"auto"`` and ``"compiled"`` resolve per the host's JIT toolchain,
-    so their artifact keys carry the toolchain qualifier
-    (:func:`repro.jit.engine_cache_tag`) — two hosts that would compute
-    different (deterministic) results under binding budgets must not
-    dedupe against each other through a shared journal or cache.
-    """
+    """Validate the engine param and return it as its cache-key value."""
     engine = p["engine"]
     if engine not in engines:
         raise ReproError(
             f"unknown {kind!r} engine {engine!r}; "
             f"use one of {', '.join(engines)}"
         )
-    from repro import jit
-
-    return jit.engine_cache_tag(engine)
+    return engine
 
 
 # ----------------------------------------------------------------------
@@ -349,10 +340,9 @@ _MLGP_DEFAULTS: dict[str, Any] = {
 
 def _resolve_mlgp(params: dict) -> tuple[str, dict]:
     p = _take(params, _MLGP_DEFAULTS, "mlgp")
-    # Validated but NOT folded into the key: the MLGP engine family is
-    # bit-identical (including "compiled"/"auto", whose batch verdicts
-    # land in the same mask-keyed memo tables), so any engine's result
-    # deduplicates against every other's.
+    # Validated but NOT folded into the key: the MLGP engines are
+    # bit-identical, so either engine's result deduplicates against the
+    # other's.
     _engine_key(p, "mlgp", _MLGP_ENGINES)
     p["benchmarks"] = list(_benchmarks(p["benchmarks"], "mlgp"))
     fp = _joint_fingerprint(_programs(tuple(p["benchmarks"])))

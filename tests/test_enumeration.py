@@ -115,6 +115,20 @@ class TestBitsetEngine:
         with pytest.raises(ValueError):
             enumerate_connected(diamond_dfg, 4, 2, engine="magic")
 
+    @pytest.mark.parametrize("engine", ("array", "compiled", "auto"))
+    def test_retired_engines_rejected(self, diamond_dfg, engine):
+        from repro.enumeration import build_candidate_library
+        from repro.workloads import get_program
+
+        with pytest.raises(ValueError, match="bitset, reference"):
+            enumerate_connected(diamond_dfg, 4, 2, engine=engine)
+        # Checked before the cache lookup, with or without a cache.
+        for use_cache in (True, False):
+            with pytest.raises(ValueError, match="bitset, reference"):
+                build_candidate_library(
+                    get_program("crc32"), engine=engine, use_cache=use_cache
+                )
+
     @given(st.integers(0, 150), st.sampled_from([(2, 1), (3, 2), (4, 2), (8, 8)]))
     @settings(max_examples=60, deadline=None)
     def test_identical_to_reference(self, seed, io):

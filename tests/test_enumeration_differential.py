@@ -1,22 +1,19 @@
-"""Differential tests: array/compiled enumeration engines vs bitset/reference.
+"""Differential tests: the bitset enumeration engine vs the reference.
 
-The ``engine="array"`` enumerator is promised *bit-identical* to the
-bitset engine — same candidate sets in the same order AND the same five
-stats counters — whenever the visit budgets and candidate caps do not
-bind (under binding budgets the engines spend the same per-root budgets
-breadth-first vs depth-first, so only determinism and cap-respect are
-promised).  The ``engine="compiled"`` kernel walks the exact same level
-tree as the array engine and must match it at **every** budget, binding
-or not.  The bitset engine is in turn candidate-identical to the
-original set-based reference.  These tests enforce all three promises
-across seeded random DFGs, synthetic blocks and real benchmark blocks,
-mirroring :mod:`tests.test_partitioning_differential` for the
-partitioning engines.  Under binding budgets the bitset engine's own
-answers are pinned: :class:`TestBitsetPinned` records the ordered
-candidate lists and all five counters on real Table 3.1 hot blocks, so
-a speed change to the engine cannot silently change what it returns.  On hosts without numba the compiled kernels run
-under the interpreted tier (:func:`repro.jit.force_interp_for_tests`)
-— same logic, bit for bit.
+The default ``engine="bitset"`` enumerator is promised
+*candidate-identical* to the original set-based ``engine="reference"``
+whenever the visit budgets and candidate caps do not bind.  These tests
+enforce that promise across seeded random DFGs, synthetic blocks, real
+benchmark blocks and front-end-ingested kernels, mirroring
+:mod:`tests.test_partitioning_differential` for the partitioning
+engines.  Where the reference keeps a matching counter the bitset
+tally must agree with it: both count the same feasible subgraphs, and
+a budget that cannot bind records no budget cut.  Under binding budgets the engines differ
+— bitset's pruning reaches more candidates within the same budget — so
+the bitset engine's own answers are pinned instead:
+:class:`TestBitsetPinned` records the ordered candidate lists and all
+five counters on real Table 3.1 hot blocks, so a speed change to the
+engine cannot silently change what it returns.
 """
 
 from __future__ import annotations
@@ -26,15 +23,13 @@ import random
 
 import pytest
 
-from repro import jit, npbits
-from repro.enumeration import enumerate_connected
-from repro.enumeration import make_candidate, mimo_array, mimo_compiled
+from repro.enumeration import enumerate_connected, make_candidate
 from repro.workloads import get_program
 from repro.workloads.synthesis import OP_MIXES, synth_dfg
 from tests.conftest import random_small_dfg
 
 #: Budgets far beyond anything the small test graphs can exhaust: with
-#: these, all three engines must agree bit for bit.
+#: these, both engines must agree candidate for candidate.
 NO_BUDGET = dict(max_candidates=10**7, min_size=2, max_visited=10**9)
 
 STAT_KEYS = (
@@ -46,93 +41,75 @@ STAT_KEYS = (
 )
 
 
-@pytest.fixture
-def force_array(monkeypatch):
-    """Drop the hybrid cutoff so even tiny DFGs run the array kernel."""
-    monkeypatch.setattr(mimo_array, "ARRAY_MIN_NODES", 0)
-
-
-@pytest.fixture
-def force_kernels(monkeypatch):
-    """Drive every engine's real kernel regardless of block size/toolchain:
-    array + compiled cutoffs pinned to 0, and the compiled kernels forced
-    onto the interpreted tier when numba is not importable."""
-    monkeypatch.setattr(mimo_array, "ARRAY_MIN_NODES", 0)
-    monkeypatch.setattr(mimo_compiled, "COMPILED_MIN_NODES", 0)
-    jit.force_interp_for_tests(monkeypatch)
-    yield
-    monkeypatch.undo()
-    jit.reset_toolchain_cache()
-
-
 def _run(dfg, engine, **kw):
     stats: dict = {}
     out = enumerate_connected(dfg, engine=engine, stats=stats, **kw)
     return out, {k: stats.get(k, 0) for k in STAT_KEYS}
 
 
-def _assert_quartet_identical(dfg, **kw):
-    ref, _ = _run(dfg, "reference", **kw)
+def _assert_engines_identical(dfg, **kw):
+    ref, ref_stats = _run(dfg, "reference", **kw)
     bit, bit_stats = _run(dfg, "bitset", **kw)
-    arr, arr_stats = _run(dfg, "array", **kw)
-    comp, comp_stats = _run(dfg, "compiled", **kw)
-    assert arr == bit, "array candidates diverged from bitset"
-    assert arr_stats == bit_stats, "array counters diverged from bitset"
-    assert comp == arr, "compiled candidates diverged from array"
-    assert comp_stats == arr_stats, "compiled counters diverged from array"
-    assert arr == ref, "array candidates diverged from reference"
+    assert bit == ref, "bitset candidates diverged from reference"
+    # Non-binding budgets: the same feasible subgraphs are counted (bitset
+    # visits fewer, since it prunes), and no budget cut is reported.
+    assert bit_stats["feasible"] == ref_stats["feasible"]
+    assert bit_stats["pruned_visit_budget"] == 0
 
 
 class TestArrayDifferential:
+    """Bitset vs reference, non-binding budgets.  (The class keeps the
+    name it had when it also covered the retired array engine, so test
+    ids stay stable across the change.)"""
+
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("n", (10, 18, 26))
-    def test_random_dfgs_bit_identical(self, force_kernels, seed, n):
-        """30 seeded random DFGs: array == compiled == bitset (candidates
-        + counters) and == reference (candidates), non-binding budgets."""
+    def test_random_dfgs_bit_identical(self, seed, n):
+        """30 seeded random DFGs: bitset == reference, non-binding
+        budgets."""
         dfg = random_small_dfg(seed, n=n)
-        _assert_quartet_identical(
+        _assert_engines_identical(
             dfg, max_inputs=4, max_outputs=2, max_size=8, **NO_BUDGET
         )
 
     @pytest.mark.parametrize("mi,mo", ((2, 1), (3, 2), (4, 3)))
-    def test_port_constraint_sweep(self, force_kernels, mi, mo):
+    def test_port_constraint_sweep(self, mi, mo):
         dfg = random_small_dfg(3, n=20)
-        _assert_quartet_identical(
+        _assert_engines_identical(
             dfg, max_inputs=mi, max_outputs=mo, max_size=7, **NO_BUDGET
         )
 
     @pytest.mark.parametrize("mix", ("crypto", "dsp"))
-    def test_synth_blocks_bit_identical(self, force_kernels, mix):
-        """Blocks big enough to clear the hybrid cutoff naturally."""
+    def test_synth_blocks_bit_identical(self, mix):
         rng = random.Random(mix)
         dfg = synth_dfg(rng, 60, OP_MIXES[mix])
-        _assert_quartet_identical(
+        _assert_engines_identical(
             dfg, max_inputs=4, max_outputs=2, max_size=6, **NO_BUDGET
         )
 
     @pytest.mark.parametrize("name", ("sha", "adpcm"))
-    def test_benchmark_blocks_bit_identical(self, force_kernels, name):
+    def test_benchmark_blocks_bit_identical(self, name):
         prog = get_program(name)
         for blk in prog.basic_blocks:
-            _assert_quartet_identical(
+            _assert_engines_identical(
                 blk.dfg, max_inputs=4, max_outputs=2, max_size=6, **NO_BUDGET
             )
 
-    def test_min_size_filter_matches(self, force_kernels):
+    def test_min_size_filter_matches(self):
         dfg = random_small_dfg(7, n=18)
         for min_size in (1, 3):
             kw = dict(NO_BUDGET, min_size=min_size)
-            _assert_quartet_identical(
+            _assert_engines_identical(
                 dfg, max_inputs=4, max_outputs=2, max_size=6, **kw
             )
 
 
 class TestArrayBudgets:
-    """Binding budgets: BFS vs DFS spend them differently, so equality
-    with the bitset engine is no longer promised — but determinism and
-    cap-respect are."""
+    """Binding budgets: equality with the reference is not promised, but
+    determinism and cap-respect are.  (The class name predates the
+    retirement of the array engine and is kept for stable test ids.)"""
 
-    def test_binding_budget_is_deterministic(self, force_array):
+    def test_binding_budget_is_deterministic(self):
         rng = random.Random(99)
         dfg = synth_dfg(rng, 80, OP_MIXES["crypto"])
         # Loose ports + a tight visit cap: the per-root visit budget binds
@@ -141,98 +118,29 @@ class TestArrayBudgets:
             max_inputs=6, max_outputs=4, max_size=12,
             max_candidates=10**6, min_size=2, max_visited=300,
         )
-        a1, s1 = _run(dfg, "array", **kw)
-        a2, s2 = _run(dfg, "array", **kw)
+        a1, s1 = _run(dfg, "bitset", **kw)
+        a2, s2 = _run(dfg, "bitset", **kw)
         assert a1 == a2
         assert s1 == s2
         # The budget really bound (otherwise this test is vacuous).
         assert s1["pruned_visit_budget"] >= 1
 
-    def test_compiled_matches_array_under_binding_budget(self, force_kernels):
-        """The compiled kernel walks the array engine's exact level tree,
-        so — unlike array vs bitset — equality holds even when the
-        per-root visit budgets bind."""
-        rng = random.Random(99)
-        dfg = synth_dfg(rng, 80, OP_MIXES["crypto"])
-        kw = dict(
-            max_inputs=6, max_outputs=4, max_size=12,
-            max_candidates=10**6, min_size=2, max_visited=300,
-        )
-        arr, arr_stats = _run(dfg, "array", **kw)
-        comp, comp_stats = _run(dfg, "compiled", **kw)
-        assert comp == arr
-        assert comp_stats == arr_stats
-        assert arr_stats["pruned_visit_budget"] >= 1
-
-    def test_compiled_matches_array_under_candidate_cap(self, force_kernels):
-        rng = random.Random(99)
-        dfg = synth_dfg(rng, 80, OP_MIXES["crypto"])
-        kw = dict(
-            max_inputs=4, max_outputs=2, max_size=10,
-            max_candidates=25, min_size=2, max_visited=None,
-        )
-        arr, arr_stats = _run(dfg, "array", **kw)
-        comp, comp_stats = _run(dfg, "compiled", **kw)
-        assert comp == arr
-        assert comp_stats == arr_stats
-        assert len(comp) <= 25
-
-    def test_candidate_cap_respected(self, force_array):
+    def test_candidate_cap_respected(self):
         rng = random.Random(99)
         dfg = synth_dfg(rng, 80, OP_MIXES["crypto"])
         out, stats = _run(
-            dfg, "array", max_inputs=4, max_outputs=2, max_size=10,
+            dfg, "bitset", max_inputs=4, max_outputs=2, max_size=10,
             max_candidates=25, min_size=2, max_visited=None,
         )
         assert len(out) <= 25
         assert stats["feasible"] >= len(out)
 
-    def test_non_binding_budget_flags_no_pruning(self, force_array):
+    def test_non_binding_budget_flags_no_pruning(self):
         dfg = random_small_dfg(1, n=16)
         _, stats = _run(
-            dfg, "array", max_inputs=4, max_outputs=2, max_size=8, **NO_BUDGET
-        )
-        assert stats["pruned_visit_budget"] == 0
-
-
-class TestHybridDispatch:
-    def test_small_blocks_delegate_to_bitset(self):
-        """Below ARRAY_MIN_NODES the array engine must hand the identical
-        call to the bitset engine (no monkeypatching here)."""
-        dfg = random_small_dfg(2, n=12)
-        assert len(dfg) < mimo_array.ARRAY_MIN_NODES
-        bit, bit_stats = _run(
             dfg, "bitset", max_inputs=4, max_outputs=2, max_size=8, **NO_BUDGET
         )
-        arr, arr_stats = _run(
-            dfg, "array", max_inputs=4, max_outputs=2, max_size=8, **NO_BUDGET
-        )
-        assert arr == bit
-        assert arr_stats == bit_stats
-
-
-class TestPopcountFallback:
-    def test_fallback_popcount_bit_identical(self, force_array, monkeypatch):
-        """The table-lookup popcount path (NumPy < 2.0 or
-        REPRO_NO_BITWISE_COUNT set) must produce identical enumerations."""
-        dfg = random_small_dfg(5, n=22)
-        kw = dict(max_inputs=4, max_outputs=2, max_size=7, **NO_BUDGET)
-        fast, fast_stats = _run(dfg, "array", **kw)
-        monkeypatch.setattr(npbits, "HAVE_BITWISE_COUNT", False)
-        slow, slow_stats = _run(dfg, "array", **kw)
-        assert slow == fast
-        assert slow_stats == fast_stats
-
-    def test_popcount_helpers_agree(self, monkeypatch):
-        import numpy as np
-
-        rng = np.random.default_rng(0)
-        rows = rng.integers(0, 2**63, size=(17, 3), dtype=np.uint64)
-        fast_rows = npbits.popcount_rows(rows)
-        fast_u64 = npbits.popcount_u64(rows)
-        monkeypatch.setattr(npbits, "HAVE_BITWISE_COUNT", False)
-        assert (npbits.popcount_rows(rows) == fast_rows).all()
-        assert (npbits.popcount_u64(rows) == fast_u64).all()
+        assert stats["pruned_visit_budget"] == 0
 
 
 class TestIngestedDifferential:
@@ -240,7 +148,7 @@ class TestIngestedDifferential:
 
     Ingested graphs have shapes the synthetic generator never produces
     (MAC chains, invalid LOAD/STORE/BRANCH region splits, latch CMPs),
-    so they are a distinct corpus for the bitset/array oracles.
+    so they are a distinct corpus for the bitset/reference differential.
     """
 
     @pytest.fixture(scope="class")
@@ -254,15 +162,15 @@ class TestIngestedDifferential:
         return [b.dfg for b in program.basic_blocks]
 
     def test_example_kernel_blocks_bit_identical(
-        self, force_kernels, ingested_blocks
+        self, ingested_blocks
     ):
         assert len(ingested_blocks) >= 3
         for dfg in ingested_blocks:
-            _assert_quartet_identical(
+            _assert_engines_identical(
                 dfg, max_inputs=4, max_outputs=2, max_size=6, **NO_BUDGET
             )
 
-    def test_ingested_source_bit_identical(self, force_kernels):
+    def test_ingested_source_bit_identical(self):
         from repro.frontend import ingest_source
 
         src = (
@@ -275,7 +183,7 @@ class TestIngestedDifferential:
         )
         program = ingest_source(src)
         for block in program.basic_blocks:
-            _assert_quartet_identical(
+            _assert_engines_identical(
                 block.dfg, max_inputs=4, max_outputs=2, max_size=6, **NO_BUDGET
             )
 

@@ -156,6 +156,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "crc32" in out and "sha" in out
 
+    @pytest.mark.parametrize("engine", ("array", "compiled", "auto"))
+    def test_retired_engines_rejected(self, engine, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--engine", engine, "curve", "crc32"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["mlgp", "crc32", "--engine", engine])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_curve_and_save(self, tmp_path, capsys):
         out_file = tmp_path / "crc32.json"
         assert main(["curve", "crc32", "--output", str(out_file)]) == 0

@@ -14,7 +14,8 @@ import random
 
 import pytest
 
-from repro import cache, jit, obs
+from repro import cache, obs
+from repro.mlgp.flow import iterative_customization, mlgp_program_profile
 from repro.mlgp.mlgp import mlgp_partition
 from repro.mtreconfig.dp import dp_solution
 from repro.mtreconfig.model import ReconfigTask, TaskVersion
@@ -26,125 +27,56 @@ from repro.workloads import get_program
 from tests.conftest import random_small_dfg
 
 
-def _mlgp_quartet(dfg, region, seed, **kw):
-    """(reference, fast, array, compiled) results for one region/seed."""
+def _mlgp_pair(dfg, region, seed, **kw):
+    """(reference, fast) results for one region/seed."""
     return tuple(
         mlgp_partition(
             dfg, region, seed=seed, engine=eng, use_cache=False, **kw
         )
-        for eng in ("reference", "fast", "array", "compiled")
+        for eng in ("reference", "fast")
     )
-
-
-@pytest.fixture
-def force_compiled_mlgp(monkeypatch):
-    """Run the compiled MLGP kernel for real: interpreted tier when numba
-    is absent, batch threshold pinned so even tiny passes hit it."""
-    from repro.mlgp import mlgp_compiled
-
-    monkeypatch.setattr(mlgp_compiled, "COMPILED_MIN_BATCH", 0)
-    jit.force_interp_for_tests(monkeypatch)
-    yield
-    monkeypatch.undo()
-    jit.reset_toolchain_cache()
 
 
 class TestMlgpDifferential:
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("n", (10, 18))
-    def test_random_dfgs_bit_identical(self, force_compiled_mlgp, seed, n):
-        """20 seeded random workloads: fast == array == compiled ==
-        reference, bitwise."""
+    def test_random_dfgs_bit_identical(self, seed, n):
+        """20 seeded random workloads: fast == reference, bitwise."""
         dfg = random_small_dfg(seed, n=n)
         for region in dfg.regions():
             if len(region) < 2:
                 continue
-            ref, fast, arr, comp = _mlgp_quartet(dfg, region, seed)
-            assert (
-                ref.partitions == fast.partitions == arr.partitions
-                == comp.partitions
-            )
-            assert ref.gains == fast.gains == arr.gains == comp.gains
-            assert ref.areas == fast.areas == arr.areas == comp.areas
+            ref, fast = _mlgp_pair(dfg, region, seed)
+            assert ref.partitions == fast.partitions
+            assert ref.gains == fast.gains
+            assert ref.areas == fast.areas
 
     @pytest.mark.parametrize("name", ("sha", "adpcm"))
-    def test_benchmark_regions_bit_identical(self, force_compiled_mlgp, name):
+    def test_benchmark_regions_bit_identical(self, name):
         prog = get_program(name)
         for bi, blk in enumerate(prog.basic_blocks):
             for region in blk.dfg.regions():
                 if len(region) < 2:
                     continue
-                ref, fast, arr, comp = _mlgp_quartet(blk.dfg, region, bi)
+                ref, fast = _mlgp_pair(blk.dfg, region, bi)
                 assert (ref.partitions, ref.gains, ref.areas) == (
                     fast.partitions,
                     fast.gains,
                     fast.areas,
-                ) == (arr.partitions, arr.gains, arr.areas) == (
-                    comp.partitions, comp.gains, comp.areas
                 )
 
-    def test_port_constraint_sweep(self, force_compiled_mlgp):
+    def test_port_constraint_sweep(self):
         dfg = random_small_dfg(3, n=16)
         region = max(dfg.regions(), key=len)
         for mi, mo in ((2, 1), (3, 2), (6, 3)):
-            ref, fast, arr, comp = _mlgp_quartet(
+            ref, fast = _mlgp_pair(
                 dfg, region, 7, max_inputs=mi, max_outputs=mo
             )
-            assert (
-                ref.partitions == fast.partitions == arr.partitions
-                == comp.partitions
-            )
+            assert ref.partitions == fast.partitions
 
-    def test_array_forced_batch_kernel_bit_identical(self, monkeypatch):
-        """Pin the batch threshold to 0 so even tiny passes go through the
-        vectorized scoring kernel, then demand bitwise equality with the
-        fast engine on real benchmark regions."""
-        from repro.mlgp import mlgp_array
-
-        monkeypatch.setattr(mlgp_array, "ARRAY_MIN_BATCH", 0)
-        prog = get_program("sha")
-        for bi, blk in enumerate(prog.basic_blocks):
-            for region in blk.dfg.regions():
-                if len(region) < 2:
-                    continue
-                fast = mlgp_partition(
-                    blk.dfg, region, seed=bi, engine="fast", use_cache=False
-                )
-                arr = mlgp_partition(
-                    blk.dfg, region, seed=bi, engine="array", use_cache=False
-                )
-                assert (fast.partitions, fast.gains, fast.areas) == (
-                    arr.partitions,
-                    arr.gains,
-                    arr.areas,
-                )
-
-    def test_compiled_forced_batch_kernel_bit_identical(
-        self, force_compiled_mlgp, monkeypatch
-    ):
-        """Same demand for the compiled scoring kernel: threshold pinned to
-        0, bitwise equality with the fast engine on real regions."""
-        prog = get_program("sha")
-        for bi, blk in enumerate(prog.basic_blocks):
-            for region in blk.dfg.regions():
-                if len(region) < 2:
-                    continue
-                fast = mlgp_partition(
-                    blk.dfg, region, seed=bi, engine="fast", use_cache=False
-                )
-                comp = mlgp_partition(
-                    blk.dfg, region, seed=bi, engine="compiled",
-                    use_cache=False,
-                )
-                assert (fast.partitions, fast.gains, fast.areas) == (
-                    comp.partitions,
-                    comp.gains,
-                    comp.areas,
-                )
-
-    def test_array_counters_match_fast(self, force_compiled_mlgp):
-        """The prefill must not change the search: identical mlgp.moves and
-        mlgp.repairs tallies, not just identical final partitions."""
+    def test_reference_counters_match_fast(self):
+        """Same search, not just the same final partitions: identical
+        mlgp.moves and mlgp.repairs tallies."""
         dfg = random_small_dfg(8, n=18)
         region = max(dfg.regions(), key=len)
 
@@ -154,7 +86,19 @@ class TestMlgpDifferential:
             snap = obs.metrics_snapshot()["counters"]
             return {k: v for k, v in snap.items() if k.startswith("mlgp.")}
 
-        assert counters("fast") == counters("array") == counters("compiled")
+        assert counters("fast") == counters("reference")
+
+    @pytest.mark.parametrize("engine", ("array", "compiled", "auto"))
+    def test_retired_engines_rejected(self, engine):
+        dfg = random_small_dfg(2, n=12)
+        region = max(dfg.regions(), key=len)
+        with pytest.raises(ValueError, match="fast, reference"):
+            mlgp_partition(dfg, region, engine=engine, use_cache=False)
+        prog = get_program("crc32")
+        with pytest.raises(ValueError, match="fast, reference"):
+            iterative_customization([prog], [1.0], engine=engine)
+        with pytest.raises(ValueError, match="fast, reference"):
+            mlgp_program_profile(prog, engine=engine)
 
     def test_seed_determinism(self):
         """Same seed -> same result; the seed is part of the cache key."""

@@ -169,12 +169,17 @@ class TestJournalReplay:
 # In-process chaos
 # ---------------------------------------------------------------------------
 class _Kind:
-    """A test-local job kind with an optional gate and call count."""
+    """A test-local job kind with an optional gate and call count.
+
+    ``running`` is set once a computation has started (before it waits
+    on the gate), so tests can wait for it instead of polling.
+    """
 
     def __init__(self, name: str):
         self.name = name
         self.calls: list[dict] = []
         self.gate: threading.Event | None = None
+        self.running = threading.Event()
         self._lock = threading.Lock()
         jobs_mod.register_kind(name, self._resolve, self._compute)
 
@@ -185,6 +190,7 @@ class _Kind:
     def _compute(self, params):
         with self._lock:
             self.calls.append(dict(params))
+        self.running.set()
         if self.gate is not None:
             assert self.gate.wait(timeout=30)
         return {"x": params["x"], "tripled": params["x"] * 3}
@@ -213,9 +219,12 @@ class TestCrashRecovery:
         srv = ServerThread(journal=journal, use_processes=False).start()
         try:
             with ServiceClient(**srv.address) as c:
-                deadline = time.time() + 30
-                while len(kind.calls) < 2 and time.time() < deadline:
-                    time.sleep(0.02)
+                # Replay finishes before start() returns, so both jobs
+                # are listed; wait for each to reach its terminal state.
+                replayed = c.jobs()
+                assert len(replayed) == 2
+                for job in replayed:
+                    c.wait(job["id"], timeout=30)
                 stats = c.stats()
                 # Submitting the same work again is served at rest.
                 resp = c.submit(kind.name, {"x": 1})
@@ -274,30 +283,82 @@ class TestCrashRecovery:
         assert live == []
 
 
+    def test_retired_engine_replay_fails_durably(self, tmp_path):
+        # An older server accepted engines this one no longer ships
+        # ("auto" among them) and journaled such a job: the new server
+        # must start healthy, fail that record terminally once, and not
+        # replay it again.
+        from repro import obs
+
+        journal = str(tmp_path / "j.jsonl")
+        key = "svc-identify-crc32-auto"
+        j = JobJournal(journal, fsync_every=1)
+        j.open()
+        j.record_submitted(
+            key,
+            "identify",
+            {"benchmark": "crc32", "max_inputs": 4, "max_outputs": 2,
+             "engine": "auto"},
+        )
+        j.close()
+
+        obs.reset()
+        srv = ServerThread(journal=journal, use_processes=False).start()
+        try:
+            with ServiceClient(**srv.address) as c:
+                health = c.health()
+        finally:
+            srv.stop()
+        assert health["accepting"] is True
+        assert health["counters"]["recovered"] == 0
+        counters = obs.metrics_snapshot()["counters"]
+        assert counters.get("service.journal.replay_failed") == 1
+        with open(journal, "rb") as fh:
+            records = [json.loads(line) for line in fh]
+        failed = [r for r in records if r["rec"] == "failed"]
+        assert [r["key"] for r in failed] == [key]
+        assert "auto" in failed[0]["error"]
+
+        srv2 = ServerThread(journal=journal, use_processes=False).start()
+        srv2.stop()
+        assert srv2.server.counters["recovered"] == 0
+        counters = obs.metrics_snapshot()["counters"]
+        assert counters.get("service.journal.replay_failed") == 1
+        live, _ = replay_journal(journal)
+        assert live == []
+
+
 class TestDrain:
     def test_drain_finishes_running_and_journals_queued(self, kind, tmp_path):
+        import asyncio
+
         journal = str(tmp_path / "j.jsonl")
         kind.gate = threading.Event()
         srv = ServerThread(
             journal=journal, use_processes=False, workers=1
         ).start()
+
+        async def drain_then_release():
+            # The drain marks the server draining before its first await;
+            # release the running job only then, so it finishes inside
+            # the drain window and the queued job can no longer start.
+            drain = asyncio.ensure_future(srv.server.drain(timeout=10))
+            await asyncio.sleep(0)
+            assert srv.server._draining
+            kind.gate.set()
+            await drain
+
         try:
             with ServiceClient(**srv.address) as c:
                 c.submit(kind.name, {"x": 1}, wait=False)  # runs, gated
-                deadline = time.time() + 10
-                while not kind.calls and time.time() < deadline:
-                    time.sleep(0.01)
+                assert kind.running.wait(timeout=10)
                 c.submit(kind.name, {"x": 2}, wait=False)  # stays queued
                 health = c.health()
                 assert health["accepting"] is True
-            # Give the running job a short budget, then release it
-            # mid-drain so it finishes inside the window.
-            t = threading.Timer(0.3, kind.gate.set)
-            t.start()
-            try:
-                srv.drain(timeout=10)
-            finally:
-                t.cancel()
+            asyncio.run_coroutine_threadsafe(
+                drain_then_release(), srv._loop
+            ).result(timeout=30)
+            srv._thread.join(timeout=10)  # as ServerThread.drain does
         finally:
             kind.gate.set()
             srv.stop()
@@ -307,14 +368,16 @@ class TestDrain:
         live, _ = replay_journal(journal)
         assert [rec["key"] for rec in live] == [kind._resolve({"x": 2})[0]]
 
-        # The next start picks the drained job up.
+        # The next start picks the drained job up and runs it to its
+        # terminal state (and terminal journal record).
         srv2 = ServerThread(journal=journal, use_processes=False).start()
         try:
-            deadline = time.time() + 30
-            while len(kind.calls) < 2 and time.time() < deadline:
-                time.sleep(0.02)
+            with ServiceClient(**srv2.address) as c:
+                (replayed,) = c.jobs()
+                done = c.wait(replayed["id"], timeout=30)
         finally:
             srv2.stop()
+        assert done["job"]["state"] == "done"
         assert srv2.server.counters["recovered"] == 1
         assert len(kind.calls) == 2
         live, _ = replay_journal(journal)
