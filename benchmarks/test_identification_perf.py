@@ -7,9 +7,9 @@ caches (library, curve and selection alike), so their ``total_seconds``
 compare like with like:
 
 * ``reference_cold`` — the original set-based ESU enumerator, no caching;
-* ``bitset_cold``    — the bitset engine;
-* ``bitset_warm``    — the bitset engine re-run directly after
-  ``bitset_cold``, on the caches that row primed.
+* ``fast_cold``      — the fast (bitset ESU) engine;
+* ``fast_warm``      — the fast engine re-run directly after
+  ``fast_cold``, on the caches that row primed.
 
 Only the per-DFG bitset masks, which live on the program objects, are
 shared: the first row to enumerate builds them.
@@ -180,13 +180,13 @@ def test_identification_pipeline_speed(benchmark):
     reference = _run_pipeline("reference", use_cache=False, label="reference_cold")
 
     cache.clear()
-    obs.reset()  # the payload's metrics block covers the bitset rows only
-    cold = _run_pipeline("bitset", use_cache=True, label="bitset_cold")
+    obs.reset()  # the payload's metrics block covers the fast rows only
+    cold = _run_pipeline("fast", use_cache=True, label="fast_cold")
     warm = benchmark.pedantic(
-        _run_pipeline, args=("bitset", True, "bitset_warm"), rounds=1, iterations=1
+        _run_pipeline, args=("fast", True, "fast_warm"), rounds=1, iterations=1
     )
 
-    bitset_best = _enumeration_seconds("bitset")
+    fast_best = _enumeration_seconds("fast")
     # The reference engine is ~10x slower, so noise is proportionally
     # smaller — two repeats suffice.
     reference_best = _enumeration_seconds("reference", repeats=2)
@@ -200,20 +200,20 @@ def test_identification_pipeline_speed(benchmark):
         "enumeration_best_of": {
             "repeats": ENUM_REPEATS,
             "reference_seconds": round(reference_best, 4),
-            "bitset_seconds": round(bitset_best, 4),
+            "fast_seconds": round(fast_best, 4),
         },
         "speedups": {
-            "bitset_vs_reference_identification": ratio(
+            "fast_vs_reference_identification": ratio(
                 reference["identification_seconds"], cold["identification_seconds"]
             ),
-            "bitset_vs_reference_total": ratio(
+            "fast_vs_reference_total": ratio(
                 reference["total_seconds"], cold["total_seconds"]
             ),
-            "bitset_vs_reference_enumeration": ratio(
+            "fast_vs_reference_enumeration": ratio(
                 reference["enumerate_seconds"], cold["enumerate_seconds"]
             ),
-            "bitset_vs_reference_enumeration_best": ratio(
-                reference_best, bitset_best
+            "fast_vs_reference_enumeration_best": ratio(
+                reference_best, fast_best
             ),
             "warm_vs_cold_identification": ratio(
                 cold["identification_seconds"], warm["identification_seconds"]
@@ -228,10 +228,10 @@ def test_identification_pipeline_speed(benchmark):
     }
     emit_json("BENCH_identification", payload)
 
-    # Acceptance: the bitset engine is ≥3x faster on identification+curves,
+    # Acceptance: the fast engine is ≥3x faster on identification+curves,
     # and the warm-cache rerun ≥10x faster than cold.  Assert with margin so
     # CI noise cannot flake the build while still catching regressions.
     speedups = payload["speedups"]
-    assert speedups["bitset_vs_reference_identification"] >= 2.0
+    assert speedups["fast_vs_reference_identification"] >= 2.0
     assert speedups["warm_vs_cold_identification"] >= 5.0
     assert warm["total_seconds"] < cold["total_seconds"]

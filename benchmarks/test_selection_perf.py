@@ -10,8 +10,6 @@ scalar oracles they retain:
   release-by-release reference over one hyperperiod, EDF and RM, plus a
   ``ch3_dse``-shaped set (4 tasks, ~1000x period spread, two periods of
   the longest task) where most jobs resolve inside release trains;
-* ``edf_selection``  — the stacked-argmin Algorithm 1 DP vs the original
-  masked-update loop;
 * ``rms_selection``  — the RMS branch-and-bound's per-node vectorized
   test vs the scalar per-configuration test (same tree, same answer).
 
@@ -29,7 +27,7 @@ import time
 
 from benchmarks.common import emit_json
 from repro import cache, obs
-from repro.core import select_edf, select_rms
+from repro.core import select_rms
 from repro.pareto import TaskCurve, exact_utilization_curve
 from repro.rtsched.simulator import simulate
 from repro.testing import random_task_set
@@ -39,7 +37,8 @@ def _gate_scale_curves(seed: int = 7) -> list[TaskCurve]:
     """8 tasks x 12 options with realistic (hundreds-of-adders) areas.
 
     Large per-option areas blow up the reference DP's cost axis
-    (cap = sum of per-task maxima) while the merge engine only ever holds
+    (cap = sum of per-task maxima) while the fast (frontier-merge) engine
+    only ever holds
     the undominated partial frontier.
     """
     rng = random.Random(seed)
@@ -96,16 +95,16 @@ def _bench_inter_pareto() -> dict:
         lambda: exact_utilization_curve(curves, engine="reference", use_cache=False),
         repeats=1,
     )
-    t_merge, merge = _best_of(
-        lambda: exact_utilization_curve(curves, engine="merge", use_cache=False)
+    t_fast, fast = _best_of(
+        lambda: exact_utilization_curve(curves, engine="fast", use_cache=False)
     )
-    assert [(p.value, p.cost) for p in merge] == [(p.value, p.cost) for p in ref]
+    assert [(p.value, p.cost) for p in fast] == [(p.value, p.cost) for p in ref]
     return {
         "instance": "8tasks_x_12options_gate_scale",
-        "curve_points": len(merge),
+        "curve_points": len(fast),
         "reference_seconds": round(t_ref, 4),
-        "merge_seconds": round(t_merge, 4),
-        "speedup": _ratio(t_ref, t_merge),
+        "fast_seconds": round(t_fast, 4),
+        "speedup": _ratio(t_ref, t_fast),
     }
 
 
@@ -127,7 +126,7 @@ def _bench_simulation() -> dict:
                 repeats=1,
             )
             events0, trains0 = _counter("sim.events"), _counter("sim.train_jobs")
-            t_event, fast = _best_of(
+            t_fast, fast = _best_of(
                 lambda p=periods, c=costs, pol=policy, h=horizon: simulate(
                     list(p), list(c), policy=pol, horizon=h
                 ),
@@ -146,31 +145,10 @@ def _bench_simulation() -> dict:
                 "events": (_counter("sim.events") - events0) / 5,
                 "train_jobs": (_counter("sim.train_jobs") - trains0) / 5,
                 "reference_seconds": round(t_ref, 4),
-                "event_seconds": round(t_event, 4),
-                "speedup": _ratio(t_ref, t_event),
+                "fast_seconds": round(t_fast, 4),
+                "speedup": _ratio(t_ref, t_fast),
             }
     return rows
-
-
-def _bench_edf_selection() -> dict:
-    ts = random_task_set(11, n_tasks=10, max_configs=12)
-    budget = 0.5 * ts.max_area
-    t_ref, ref = _best_of(
-        lambda: select_edf(ts, budget, max_steps=40_000, engine="reference",
-                           use_cache=False)
-    )
-    t_vec, vec = _best_of(
-        lambda: select_edf(ts, budget, max_steps=40_000, engine="vector",
-                           use_cache=False)
-    )
-    assert vec.assignment == ref.assignment
-    assert vec.utilization == ref.utilization
-    return {
-        "instance": "10tasks_x_12configs",
-        "reference_seconds": round(t_ref, 4),
-        "vector_seconds": round(t_vec, 4),
-        "speedup": _ratio(t_ref, t_vec),
-    }
 
 
 def _bench_rms_selection() -> dict:
@@ -203,7 +181,6 @@ def test_selection_pipeline_speed(benchmark):
         return {
             "inter_pareto": _bench_inter_pareto(),
             "simulation": _bench_simulation(),
-            "edf_selection": _bench_edf_selection(),
             "rms_selection": _bench_rms_selection(),
         }
 
@@ -213,10 +190,9 @@ def test_selection_pipeline_speed(benchmark):
         v for k, v in sim_speedups.items() if not k.startswith("ch3_")
     ]
     payload["speedups"] = {
-        "inter_pareto_merge_vs_dp": payload["inter_pareto"]["speedup"],
-        "simulation_event_vs_reference": sim_speedups,
-        "simulation_event_vs_reference_best": max(lcm_speedups),
-        "edf_selection_vector_vs_reference": payload["edf_selection"]["speedup"],
+        "inter_pareto_fast_vs_reference": payload["inter_pareto"]["speedup"],
+        "simulation_fast_vs_reference": sim_speedups,
+        "simulation_fast_vs_reference_best": max(lcm_speedups),
         "rms_selection_fast_vs_reference": payload["rms_selection"]["speedup"],
     }
     emit_json("BENCH_selection", payload)
@@ -225,11 +201,10 @@ def test_selection_pipeline_speed(benchmark):
     # (headline ~30-40x) and the event-compressed simulator ≥3x over the
     # release-by-release engine on lcm-hyperperiod workloads (headline
     # ~4-5x).  Assert with margin so CI noise cannot flake the build.
-    assert payload["speedups"]["inter_pareto_merge_vs_dp"] >= 3.0
-    assert payload["speedups"]["simulation_event_vs_reference_best"] >= 2.5
-    # The vector selection DP must at least not be slower than the oracle.
-    assert payload["speedups"]["edf_selection_vector_vs_reference"] >= 1.0
-    # Nor may the per-node vectorized RMS test (headline ~5x).
+    assert payload["speedups"]["inter_pareto_fast_vs_reference"] >= 3.0
+    assert payload["speedups"]["simulation_fast_vs_reference_best"] >= 2.5
+    # The per-node vectorized RMS test must not be slower than the
+    # scalar oracle (headline ~5x).
     assert payload["speedups"]["rms_selection_fast_vs_reference"] >= 1.0
     # The ch3-shaped simulation must actually run in release trains.
     ch3_rows = [

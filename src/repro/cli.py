@@ -39,6 +39,7 @@ from collections.abc import Sequence
 
 from repro import io as repro_io
 from repro import obs
+from repro.engines import ENGINES
 from repro.errors import ReproError
 from repro.report import (
     format_curve,
@@ -75,13 +76,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "this directory (overrides $REPRO_CACHE_DIR)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the in-process artifact cache")
-    parser.add_argument("--engine",
-                        choices=("bitset", "reference"),
-                        default="bitset",
-                        help="candidate-enumeration engine (default bitset; "
+    parser.add_argument("--engine", choices=ENGINES, default="fast",
+                        help="candidate-enumeration engine (default fast; "
                              "reference = the set-based oracle; results "
                              "match unless a visit budget binds, where "
-                             "bitset reaches more candidates)")
+                             "fast reaches more candidates)")
     parser.add_argument("--trace", metavar="FILE", default=None,
                         help="record a span trace of this run as JSONL")
     parser.add_argument("--metrics", action="store_true", default=False,
@@ -174,8 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="utilization target to customize down to "
                              "(default 1.0)")
     p_mlgp.add_argument("--engine", dest="part_engine",
-                        choices=("fast", "reference"),
-                        default="fast",
+                        choices=ENGINES, default="fast",
                         help="MLGP engine (bit-identical; default fast; "
                              "reference = the frozenset oracle)")
     p_mlgp.add_argument("--seed", type=int, default=0,
@@ -193,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--max-area", type=float, default=None)
     p_rec.add_argument("--rho", type=float, default=None)
     p_rec.add_argument("--engine", dest="part_engine",
-                       choices=("fast", "reference"), default="fast",
+                       choices=ENGINES, default="fast",
                        help="k-way partitioner engine (bit-identical; "
                             "default fast)")
     p_rec.add_argument("--seed", type=int, default=0,
@@ -257,9 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-job overrun probability (default 0.25)")
     p_flt.add_argument("--jitter-frac", type=float, default=0.10,
                        help="reconfiguration jitter fraction (default 0.10)")
-    p_flt.add_argument("--sim-engine", choices=("event", "reference"),
-                       default="event",
-                       help="simulator engine for the injection runs")
+    p_flt.add_argument("--sim-engine", choices=ENGINES, default="fast",
+                       help="simulator engine for the injection runs "
+                            "(default fast = event-compressed; reference = "
+                            "the release-by-release oracle)")
     p_flt.add_argument("--workers", type=int, default=None,
                        help="build per-task curves in N parallel processes")
     p_flt.add_argument("--output",

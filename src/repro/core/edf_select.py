@@ -10,7 +10,8 @@ The step ``delta`` is the greatest common divisor of every configuration
 area and of the budget (Algorithm 1); when that would make the table larger
 than ``max_steps`` the step is coarsened, with configuration areas rounded
 *up* so the budget is never exceeded.  Complexity
-``O(N x AREA/delta x max_i n_i)``; the inner loop is vectorized.  Because
+``O(N x AREA/delta x max_i n_i)``; each configuration's update runs as one
+numpy slice operation over the area axis.  Because
 EDF schedulability is exactly ``U <= 1``, minimizing utilization by
 definition works toward meeting all deadlines.
 """
@@ -66,7 +67,6 @@ def select_edf(
     area_budget: float,
     scale: int = 100,
     max_steps: int = 4000,
-    engine: str = "vector",
     use_cache: bool = True,
 ) -> EdfSelection:
     """Select per-task configurations minimizing utilization under EDF.
@@ -77,11 +77,6 @@ def select_edf(
         scale: fixed-point scale used to quantize fractional areas.
         max_steps: upper bound on the DP table width (coarser quantization
             is used beyond it; areas round up, so the budget holds).
-        engine: ``"vector"`` (default) stacks all candidate rows of a task
-            and takes one argmin; ``"reference"`` runs the original
-            per-configuration masked-update loop.  Results are identical:
-            the float additions match and argmin's first-occurrence rule
-            reproduces the strict-less update's earliest-index tie-break.
         use_cache: memoize the result behind a content key (task-set digest
             + budget + quantization parameters) in :mod:`repro.cache`.
 
@@ -93,8 +88,6 @@ def select_edf(
     """
     if area_budget < 0:
         raise ScheduleError("area budget must be non-negative")
-    if engine not in ("vector", "reference"):
-        raise ScheduleError(f"unknown engine {engine!r}; use 'vector' or 'reference'")
     key = None
     if use_cache:
         key = cache.artifact_key(
@@ -111,10 +104,8 @@ def select_edf(
                 assignment=tuple(cached["assignment"]),
                 area=cached["area"],
             )
-    with obs.span("select.edf", tasks=len(task_set), engine=engine):
-        return _select_edf_dp(
-            task_set, area_budget, scale, max_steps, engine, key
-        )
+    with obs.span("select.edf", tasks=len(task_set)):
+        return _select_edf_dp(task_set, area_budget, scale, max_steps, key)
 
 
 def _select_edf_dp(
@@ -122,7 +113,6 @@ def _select_edf_dp(
     area_budget: float,
     scale: int,
     max_steps: int,
-    engine: str,
     key: str | None,
 ) -> EdfSelection:
     """The DP proper (split out so the span covers exactly the solve)."""
@@ -149,24 +139,14 @@ def _select_edf_dp(
             raise ScheduleError(
                 f"task {task.name!r} has no configuration fitting the budget"
             )
-        if engine == "vector":
-            rows = np.full((len(feasible), cap + 1), inf)
-            for row, (_j, w, u) in enumerate(feasible):
-                rows[row, w:] = best[: cap + 1 - w] + u
-            winners = rows.argmin(axis=0)  # first occurrence = smallest j
-            new = rows[winners, np.arange(cap + 1)]
-            pick = np.asarray([j for j, _w, _u in feasible], dtype=np.int32)[
-                winners
-            ]
-        else:
-            new = np.full(cap + 1, inf)
-            pick = np.zeros(cap + 1, dtype=np.int32)
-            for j, w, u in feasible:
-                cand = np.full(cap + 1, inf)
-                cand[w:] = best[: cap + 1 - w] + u
-                better = cand < new
-                new[better] = cand[better]
-                pick[better] = j
+        new = np.full(cap + 1, inf)
+        pick = np.zeros(cap + 1, dtype=np.int32)
+        for j, w, u in feasible:
+            # Strict less-than keeps the earliest configuration on ties.
+            cand = best[: cap + 1 - w] + u
+            better = cand < new[w:]
+            new[w:][better] = cand[better]
+            pick[w:][better] = j
         best = new
         picks.append(pick)
 

@@ -83,7 +83,7 @@ def build_task(
     curve_steps: int = 12,
     method: str = "greedy",
     max_configs: int = 24,
-    engine: str = "bitset",
+    engine: str = "fast",
     use_cache: bool = True,
 ) -> PeriodicTask:
     """Build a :class:`PeriodicTask` with a configuration curve from a program.
@@ -96,7 +96,7 @@ def build_task(
         max_inputs / max_outputs: register-port constraints.
         curve_steps: number of area budgets explored for the curve.
         method: candidate-selection method for the curve.
-        engine: candidate-enumeration engine (``"bitset"`` or
+        engine: candidate-enumeration engine (``"fast"`` or
             ``"reference"``).
         use_cache: memoize the identification artifacts (candidate library
             and configuration curve) through :mod:`repro.cache`.

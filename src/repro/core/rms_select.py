@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import cache, obs
+from repro.engines import check_engine
 from repro.errors import ScheduleError
 from repro.rtsched.rms import rms_points, rms_task_load
 from repro.rtsched.task import TaskSet
@@ -88,8 +89,7 @@ def select_rms(
     """
     if area_budget < 0:
         raise ScheduleError("area budget must be non-negative")
-    if engine not in ("fast", "reference"):
-        raise ScheduleError(f"unknown engine {engine!r}; use 'fast' or 'reference'")
+    check_engine(engine)
     key = None
     if use_cache:
         key = cache.artifact_key(

@@ -15,7 +15,8 @@ from __future__ import annotations
 import time
 
 from repro import cache, obs
-from repro.enumeration.mimo import ENGINES, enumerate_connected
+from repro.engines import check_engine
+from repro.enumeration.mimo import enumerate_connected
 from repro.enumeration.patterns import CandidateLibrary, make_candidate
 from repro.graphs.program import Program
 from repro.isa.costmodel import DEFAULT_COST_MODEL, HardwareCostModel
@@ -52,7 +53,7 @@ def build_candidate_library(
     include_disconnected: bool = False,
     max_disconnected_per_block: int = 200,
     model: HardwareCostModel = DEFAULT_COST_MODEL,
-    engine: str = "bitset",
+    engine: str = "fast",
     use_cache: bool = True,
     stats: dict | None = None,
 ) -> CandidateLibrary:
@@ -86,12 +87,9 @@ def build_candidate_library(
         A :class:`CandidateLibrary` with profitable candidates only, ordered
         by decreasing total gain.
     """
-    if engine not in ENGINES:
-        # Checked before the cache lookup so a retired engine name can
-        # never be served an artifact stored under it by an older build.
-        raise ValueError(
-            f"unknown engine {engine!r}; use one of {', '.join(ENGINES)}"
-        )
+    # Checked before the cache lookup so a retired engine name can never
+    # be served an artifact stored under it by an older build.
+    check_engine(engine)
     key = None
     if use_cache:
         key = cache.artifact_key(

@@ -9,7 +9,7 @@ enumerators are provided:
   its minimum-id node), filtered by the I/O and convexity constraints, with
   size and count caps.  This is the production enumerator used to build
   candidate libraries.  Two engines implement it: the default
-  ``"bitset"`` engine represents subgraphs as Python int bitmasks with
+  ``"fast"`` engine represents subgraphs as Python int bitmasks with
   incremental feasibility tracking, and the ``"reference"`` engine is
   the original set-based implementation kept for differential testing.
 * :func:`enumerate_exhaustive` — plain subset enumeration over a (small)
@@ -21,16 +21,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from repro.engines import check_engine
 from repro.graphs.dfg import DataFlowGraph
 
-__all__ = [
-    "enumerate_connected",
-    "enumerate_exhaustive",
-    "ENGINES",
-]
-
-#: Engine names accepted by :func:`enumerate_connected`.
-ENGINES = ("bitset", "reference")
+__all__ = ["enumerate_connected", "enumerate_exhaustive"]
 
 
 def _undirected_adjacency(
@@ -57,7 +51,7 @@ def enumerate_connected(
     max_candidates: int = 20000,
     min_size: int = 2,
     max_visited: int | None = None,
-    engine: str = "bitset",
+    engine: str = "fast",
     stats: dict | None = None,
 ) -> list[frozenset[int]]:
     """Enumerate feasible connected subgraphs of *dfg*.
@@ -79,16 +73,16 @@ def enumerate_connected(
         max_visited: cap on subgraphs *visited* (feasible or not); defaults
             to ``25 x max_candidates``.  Bounds worst-case runtime on large
             dense blocks.
-        engine: ``"bitset"`` (default; int-bitmask subgraphs, incremental
+        engine: ``"fast"`` (default; int-bitmask subgraphs, incremental
             feasibility, monotone input-bound pruning) or ``"reference"``
             (the original set-based path).  Both engines return the same
             candidate set when the visit budgets and candidate caps do
-            not bind; under binding budgets the bitset engine's pruning
+            not bind; under binding budgets the fast engine's pruning
             lets it reach more feasible subgraphs than the reference
             within the same budget.
         stats: optional dict; when given, ``"visited"`` and ``"feasible"``
             counters are accumulated into it (for the benchmark harness).
-            The bitset engine additionally accumulates per-constraint
+            The fast engine additionally accumulates per-constraint
             prune counters: ``"pruned_visit_budget"`` (visit-budget
             cuts), ``"pruned_inputs"`` (monotone input-bound cuts) and
             ``"pruned_outputs"`` (output-port rejections).
@@ -96,18 +90,11 @@ def enumerate_connected(
     Returns:
         Feasible candidate node sets, largest first.
     """
-    if engine == "bitset":
-        return _enumerate_bitset(
-            dfg, max_inputs, max_outputs, max_size, max_candidates,
-            min_size, max_visited, stats,
-        )
-    if engine == "reference":
-        return _enumerate_reference(
-            dfg, max_inputs, max_outputs, max_size, max_candidates,
-            min_size, max_visited, stats,
-        )
-    raise ValueError(
-        f"unknown engine {engine!r}; use one of {', '.join(ENGINES)}"
+    check_engine(engine)
+    run = _enumerate_bitset if engine == "fast" else _enumerate_reference
+    return run(
+        dfg, max_inputs, max_outputs, max_size, max_candidates,
+        min_size, max_visited, stats,
     )
 
 

@@ -184,7 +184,7 @@ def cross_validate_single_fault(
     assignment: Sequence[int],
     policy: str = "edf",
     fault_task: int | None = None,
-    engine: str = "event",
+    engine: str = "fast",
     horizon: float | None = None,
 ) -> tuple[DegradedVerdict, SimulationResult, bool]:
     """Degraded analytic verdict vs. the fault-injecting simulator.

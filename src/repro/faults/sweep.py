@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.core.flow import customize
+from repro.engines import check_engine
 from repro.faults.degraded import cross_validate_single_fault
 from repro.faults.model import CONTAINMENT_POLICIES, FaultModel
 from repro.report import format_fault_report
@@ -93,7 +94,7 @@ def sweep_faults(
     policies: Sequence[str] = ("edf", "rms"),
     seed: int = 0,
     scenarios: Sequence[FaultScenario] | None = None,
-    engine: str = "event",
+    engine: str = "fast",
     horizon: float | None = None,
 ) -> dict:
     """Run the robustness battery on one task set.
@@ -112,6 +113,7 @@ def sweep_faults(
     Returns:
         A JSON-serializable report dict.
     """
+    check_engine(engine)
     budget = area_budget if area_budget is not None else 0.5 * task_set.max_area
     if scenarios is None:
         scenarios = default_scenarios(seed)

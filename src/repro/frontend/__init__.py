@@ -59,7 +59,7 @@ def loops_from_programs(
     max_versions: int = 4,
     max_inputs: int = 4,
     max_outputs: int = 2,
-    engine: str = "bitset",
+    engine: str = "fast",
     use_cache: bool = True,
 ):
     """Derive Chapter 6 hot loops from programs' configuration curves.

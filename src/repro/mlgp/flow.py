@@ -24,9 +24,10 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from repro import obs
+from repro.engines import check_engine
 from repro.graphs.program import Block, Program
 from repro.isa.costmodel import DEFAULT_COST_MODEL, HardwareCostModel
-from repro.mlgp.mlgp import MlgpResult, check_engine, mlgp_partition
+from repro.mlgp.mlgp import MlgpResult, mlgp_partition
 from repro.parallel import parallel_map
 
 __all__ = ["GeneratedCI", "IterationRecord", "IterativeResult", "iterative_customization", "mlgp_program_profile", "ProfileStep"]

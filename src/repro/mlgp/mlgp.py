@@ -30,22 +30,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro import cache, obs
+from repro.engines import check_engine
 from repro.graphs.dfg import DataFlowGraph
 from repro.isa.costmodel import DEFAULT_COST_MODEL, HardwareCostModel
 from repro.mlgp.mlgp_fast import run_fast_mlgp
 
 __all__ = ["MlgpResult", "mlgp_partition"]
-
-#: Engine names accepted by :func:`mlgp_partition`.
-ENGINES = ("fast", "reference")
-
-
-def check_engine(engine: str) -> None:
-    """Raise :class:`ValueError` unless *engine* is one of :data:`ENGINES`."""
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown MLGP engine {engine!r}; use one of {', '.join(ENGINES)}"
-        )
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import cache, obs
+from repro.engines import check_engine
 from repro.errors import ReproError
 from repro.pareto.front import ParetoPoint, pareto_filter
 
@@ -174,18 +175,19 @@ def _points_from_jsonable(raw: Sequence[dict]) -> list[ParetoPoint]:
 
 
 def exact_utilization_curve(
-    tasks: Sequence[TaskCurve], engine: str = "merge", use_cache: bool = True
+    tasks: Sequence[TaskCurve], engine: str = "fast", use_cache: bool = True
 ) -> list[ParetoPoint]:
     """The exact utilization-area Pareto curve of a task set.
 
     Args:
         tasks: per-task workload-area curves.
-        engine: ``"merge"`` (default) folds per-task frontiers with
+        engine: ``"fast"`` (default) folds per-task frontiers with
             dominance pruning between merges; ``"reference"`` runs the
             recursion-(4.2) DP over the full cost axis (the differential
             oracle).  Both produce bit-identical ``(value, cost)`` curves.
-        use_cache: memoize the curve behind a content key (curve digests +
-            engine) in :mod:`repro.cache`.
+        use_cache: memoize the curve behind a content key (curve digests)
+            in :mod:`repro.cache`; the engines agree, so the key leaves the
+            engine out.
 
     Returns:
         Undominated ``(utilization, area)`` points; each point's ``choice``
@@ -193,18 +195,15 @@ def exact_utilization_curve(
     """
     if not tasks:
         raise ReproError("need at least one task curve")
-    if engine not in ("merge", "reference"):
-        raise ReproError(f"unknown engine {engine!r}; use 'merge' or 'reference'")
+    check_engine(engine)
     key = None
     if use_cache:
-        key = cache.artifact_key(
-            cache.curves_digest(tasks), kind="inter_exact", engine=engine
-        )
+        key = cache.artifact_key(cache.curves_digest(tasks), kind="inter_exact")
         cached = cache.fetch_pareto(key)
         if cached is not None:
             return _points_from_jsonable(cached)
     with obs.span("pareto.exact", tasks=len(tasks), engine=engine) as sp:
-        if engine == "merge":
+        if engine == "fast":
             curve = _merge_curve(tasks)
         else:
             costs = [list(t.areas) for t in tasks]

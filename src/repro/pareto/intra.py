@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.engines import check_engine
 from repro.errors import ReproError
 from repro.pareto.front import ParetoPoint, pareto_filter
 
@@ -61,14 +62,14 @@ def _best_reduction_by_cost(
 
 
 def exact_workload_curve(
-    base_workload: float, options: Sequence[CIOption], engine: str = "vector"
+    base_workload: float, options: Sequence[CIOption], engine: str = "fast"
 ) -> list[ParetoPoint]:
     """The exact workload-area Pareto curve of one task.
 
     Args:
         base_workload: software workload ``E_i``.
         options: the task's custom-instruction choices.
-        engine: ``"vector"`` (default) extracts the curve's staircase with
+        engine: ``"fast"`` (default) extracts the curve's staircase with
             numpy before materializing points; ``"reference"`` builds one
             point per cost index (the original path).  Identical output.
 
@@ -76,8 +77,7 @@ def exact_workload_curve(
         Undominated ``(workload, area)`` points, area increasing, starting
         from the pure-software point ``(E_i, 0)``.
     """
-    if engine not in ("vector", "reference"):
-        raise ReproError(f"unknown engine {engine!r}; use 'vector' or 'reference'")
+    check_engine(engine)
     cap = sum(o.area for o in options)
     if cap == 0 or not options:
         # Zero-cost options are always worth taking.
@@ -86,7 +86,7 @@ def exact_workload_curve(
     best = _best_reduction_by_cost(
         [o.delta for o in options], [o.area for o in options], cap
     )
-    if engine == "vector":
+    if engine == "fast":
         # Strict staircase over the (monotone) reduction array: keep the
         # first cost index of every new maximum.  Strict pruning keeps a
         # superset of what the EPS-tolerant filter keeps, so the final

@@ -27,6 +27,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro import cache, obs
+from repro.engines import check_engine
 from repro.errors import ReproError
 from repro.parallel import parallel_map
 from repro.reconfig.kwaypart import kway_partition
@@ -331,8 +332,7 @@ def iterative_partition(
     Returns:
         The best :class:`PartitionSolution`.
     """
-    if engine not in ("fast", "reference"):
-        raise ReproError(f"unknown engine {engine!r}")
+    check_engine(engine)
     n = len(loops)
     if n == 0:
         raise ReproError("need at least one hot loop")

@@ -20,6 +20,7 @@ import random
 from collections.abc import Mapping, Sequence
 
 from repro import obs
+from repro.engines import check_engine
 
 __all__ = ["kway_partition", "edge_cut"]
 
@@ -201,8 +202,7 @@ def kway_partition(
         Part id (0..k-1) per vertex.  For ``k >= n`` every vertex gets its
         own part.
     """
-    if engine not in ("fast", "reference"):
-        raise ValueError(f"unknown engine {engine!r}")
+    check_engine(engine)
     if n == 0:
         return []
     w = [1.0] * n if weights is None else list(weights)

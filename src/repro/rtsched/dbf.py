@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.errors import ScheduleError
 
 __all__ = ["demand_bound", "deadline_points", "edf_constrained_schedulable"]
@@ -64,7 +62,6 @@ def edf_constrained_schedulable(
     costs: Sequence[float],
     deadlines: Sequence[float] | None = None,
     max_points: int = 200_000,
-    engine: str = "vector",
 ) -> bool:
     """Exact EDF schedulability with constrained deadlines.
 
@@ -73,10 +70,9 @@ def edf_constrained_schedulable(
         costs: execution times.
         deadlines: relative deadlines (defaults to the periods, where the
             test reduces to ``U <= 1``).
-        max_points: guard on the number of checked deadline points.
-        engine: ``"vector"`` (default) evaluates the whole demand matrix
-            with numpy; ``"reference"`` walks the scalar point loop (the
-            differential oracle).
+        max_points: guard on the number of checked deadline points,
+            applied to the per-task deadline counts before any point is
+            built.
 
     Returns:
         True iff every job meets its deadline under preemptive EDF.
@@ -93,8 +89,6 @@ def edf_constrained_schedulable(
         deadlines = list(periods)
     if len(deadlines) != n:
         raise ScheduleError("deadlines must align with periods")
-    if engine not in ("vector", "reference"):
-        raise ScheduleError(f"unknown engine {engine!r}; use 'vector' or 'reference'")
     for d, p in zip(deadlines, periods):
         if d > p + EPS:
             raise ScheduleError("constrained deadlines require D <= P")
@@ -119,44 +113,20 @@ def edf_constrained_schedulable(
         horizon = max(periods) + max(deadlines)
     horizon = min(horizon, _lcm_or_large(periods) + max(deadlines))
 
-    if engine == "reference":
-        points = deadline_points(periods, deadlines, horizon)
-        if len(points) > max_points:
-            raise ScheduleError(
-                f"demand test horizon needs {len(points)} points (> {max_points})"
-            )
-        for t in points:
-            if demand_bound(periods, costs, deadlines, t) > t + EPS:
-                return False
-        return True
-
-    # Vectorized: generate every absolute deadline d_i + k p_i with arange
-    # (same floats as the scalar accumulation for the integral periods used
-    # throughout; a sub-EPS ulp drift cannot flip the EPS-guarded compares),
-    # then evaluate the whole (points x tasks) demand matrix at once.
-    p_arr = np.asarray(periods, dtype=float)
-    c_arr = np.asarray(costs, dtype=float)
-    d_arr = np.asarray(deadlines, dtype=float)
-    counts = np.floor((horizon + EPS - d_arr) / p_arr).astype(int) + 1
-    counts = np.maximum(counts, 0)
-    total = int(counts.sum())
+    # Guard on the per-task deadline counts (an upper bound on the distinct
+    # points) before deadline_points materializes any of them.
+    total = sum(
+        max(0, math.floor((horizon + EPS - d) / p) + 1)
+        for p, d in zip(periods, deadlines)
+    )
     if total > max_points:
         raise ScheduleError(
             f"demand test horizon needs {total} points (> {max_points})"
         )
-    if total == 0:
-        return True
-    points_arr = np.unique(
-        np.concatenate(
-            [d + p * np.arange(k) for d, p, k in zip(d_arr, p_arr, counts)]
-        )
+    return all(
+        demand_bound(periods, costs, deadlines, t) <= t + EPS
+        for t in deadline_points(periods, deadlines, horizon)
     )
-    # dbf(t) = sum over released tasks of (floor((t - d)/p + EPS) + 1) c.
-    t_col = points_arr[:, None]
-    released = t_col + EPS >= d_arr[None, :]
-    jobs = np.floor((t_col - d_arr[None, :]) / p_arr[None, :] + EPS) + 1.0
-    demand = np.where(released, jobs * c_arr[None, :], 0.0).sum(axis=1)
-    return bool(np.all(demand <= points_arr + EPS))
 
 
 def _lcm_or_large(periods: Sequence[float]) -> float:

@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.errors import ScheduleError
 
 __all__ = ["response_time", "rta_schedulable"]
@@ -32,7 +30,6 @@ def response_time(
     costs: Sequence[float],
     i: int,
     max_iterations: int = 10_000,
-    engine: str = "vector",
 ) -> float | None:
     """Worst-case response time of task *i* (0-based, arrays period-sorted).
 
@@ -41,10 +38,6 @@ def response_time(
         costs: execution times aligned with *periods*.
         i: index of the analyzed task.
         max_iterations: divergence guard.
-        engine: ``"vector"`` (default) evaluates the interference sum with
-            numpy — identical floats to the scalar loop for fewer than 128
-            interfering tasks (numpy sums short axes sequentially);
-            ``"reference"`` keeps the original scalar iteration.
 
     Returns:
         The response time, or None if the iteration exceeds the period
@@ -53,23 +46,8 @@ def response_time(
     """
     if not 0 <= i < len(periods):
         raise ScheduleError(f"task index {i} out of range")
-    if engine not in ("vector", "reference"):
-        raise ScheduleError(f"unknown engine {engine!r}; use 'vector' or 'reference'")
     c_i = costs[i]
     r = c_i
-    if engine == "vector" and i > 0:
-        hp_p = np.asarray(periods[:i], dtype=float)
-        hp_c = np.asarray(costs[:i], dtype=float)
-        limit = periods[i] * 2 + EPS
-        for _ in range(max_iterations):
-            nxt = c_i + float((np.ceil(r / hp_p - EPS) * hp_c).sum())
-            if nxt <= r + EPS:
-                return nxt
-            r = nxt
-            if r > limit:
-                # Far past any sensible deadline; treat as divergent.
-                return None
-        return None
     for _ in range(max_iterations):
         interference = sum(
             math.ceil(r / periods[j] - EPS) * costs[j] for j in range(i)
@@ -88,7 +66,6 @@ def rta_schedulable(
     periods: Sequence[float],
     costs: Sequence[float],
     deadlines: Sequence[float] | None = None,
-    engine: str = "vector",
 ) -> bool:
     """Exact fixed-priority schedulability via response-time analysis.
 
@@ -100,7 +77,6 @@ def rta_schedulable(
         costs: execution times aligned with *periods*.
         deadlines: optional constrained deadlines (``D_i <= P_i``);
             defaults to the periods.
-        engine: forwarded to :func:`response_time`.
     """
     n = len(periods)
     if len(costs) != n:
@@ -118,7 +94,7 @@ def rta_schedulable(
     c = [costs[k] for k in order]
     d = [deadlines[k] for k in order]
     for i in range(n):
-        r = response_time(p, c, i, engine=engine)
+        r = response_time(p, c, i)
         if r is None or r > d[i] + EPS:
             return False
     return True

@@ -8,7 +8,7 @@ critical instant) is exact for both policies with deadline = period.
 
 Two engines share the semantics:
 
-* ``engine="event"`` (default) — event-compressed: idle spans jump straight
+* ``engine="fast"`` (default) — event-compressed: idle spans jump straight
   to the next release, simultaneous releases are batched, and the running
   job executes in a single span up to its completion or the first
   *preempting* release (computed analytically from the period structure)
@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro import obs
+from repro.engines import check_engine
 from repro.errors import ScheduleError
 from repro.rtsched.task import TaskSet
 
@@ -139,7 +140,7 @@ def simulate(
     costs: Sequence[float],
     policy: str = "edf",
     horizon: float | None = None,
-    engine: str = "event",
+    engine: str = "fast",
     stop_on_first_miss: bool = False,
     faults: "FaultModel | None" = None,
     containment: str = "run-to-completion",
@@ -154,7 +155,7 @@ def simulate(
             shortest-period priority).
         horizon: simulated span; defaults to the hyperperiod for integral
             periods, otherwise ``20 x max period``.
-        engine: ``"event"`` (compressed; default) or ``"reference"`` (the
+        engine: ``"fast"`` (event-compressed; default) or ``"reference"`` (the
             original release-by-release oracle).
         stop_on_first_miss: abandon the horizon at the first recorded miss
             (the result then carries that single miss and ``horizon`` is
@@ -177,8 +178,7 @@ def simulate(
         raise ScheduleError("periods and costs must be non-empty and aligned")
     if policy not in ("edf", "rm"):
         raise ScheduleError(f"unknown policy {policy!r}; use 'edf' or 'rm'")
-    if engine not in ("event", "reference"):
-        raise ScheduleError(f"unknown engine {engine!r}; use 'event' or 'reference'")
+    check_engine(engine)
     if containment not in _CONTAINMENTS:
         raise ScheduleError(
             f"unknown containment {containment!r}; use one of {_CONTAINMENTS}"
@@ -684,7 +684,7 @@ def simulate_taskset(
     assignment: Sequence[int] | None = None,
     policy: str = "edf",
     horizon: float | None = None,
-    engine: str = "event",
+    engine: str = "fast",
     stop_on_first_miss: bool = False,
     faults: "FaultModel | None" = None,
     containment: str = "run-to-completion",

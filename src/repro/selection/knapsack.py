@@ -13,8 +13,8 @@ from math import gcd
 
 import numpy as np
 
+from repro.engines import check_engine
 from repro.enumeration.patterns import Candidate
-from repro.errors import ReproError
 
 __all__ = ["select_knapsack", "area_quantum"]
 
@@ -39,7 +39,7 @@ def select_knapsack(
     candidates: Sequence[Candidate],
     area_budget: float,
     scale: int = 100,
-    engine: str = "vector",
+    engine: str = "fast",
 ) -> list[int]:
     """Optimal selection of pairwise-disjoint candidates (0-1 knapsack).
 
@@ -47,7 +47,7 @@ def select_knapsack(
         candidates: disjoint candidate pool (overlaps are *not* checked).
         area_budget: total CFU area available.
         scale: fixed-point scale for area quantization.
-        engine: ``"vector"`` (default) runs the DP row-at-a-time in numpy
+        engine: ``"fast"`` (default) runs the DP row-at-a-time in numpy
             with a per-item decision matrix and reverse backtracking;
             ``"reference"`` keeps the original scalar take-list DP.  The
             selected index set is identical (strict ``>`` updates make the
@@ -56,8 +56,7 @@ def select_knapsack(
     Returns:
         Indices of the selected candidates.
     """
-    if engine not in ("vector", "reference"):
-        raise ReproError(f"unknown engine {engine!r}; use 'vector' or 'reference'")
+    check_engine(engine)
     items = [
         (i, c.total_gain, round(c.area * scale))
         for i, c in enumerate(candidates)
@@ -69,7 +68,7 @@ def select_knapsack(
     quantum = area_quantum([c.area for c in candidates], area_budget, scale)
     cap //= quantum
 
-    if engine == "vector":
+    if engine == "fast":
         best = np.zeros(cap + 1)
         widths: list[int] = []
         kept: list[int] = []

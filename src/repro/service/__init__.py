@@ -1,7 +1,7 @@
 """Customization-as-a-service: a long-running job server over the pipeline.
 
-Every per-stage speedup in this repository (bitset/array engines, fast
-Pareto/partitioning paths, the artifact cache) was trapped behind a batch
+Every per-stage speedup in this repository (the fast enumeration,
+Pareto and partitioning engines, the artifact cache) was trapped behind a batch
 CLI: each invocation pays full process startup and can only reuse work
 through the cold disk cache.  This package wraps the pipeline in a
 long-running asyncio **job server** so heavy multi-tenant traffic turns

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro import cache
+from repro.engines import ENGINES
 from repro.errors import ReproError
 
 __all__ = [
@@ -161,17 +162,13 @@ def _joint_fingerprint(programs) -> str:
     return "+".join(cache.program_fingerprint(p) for p in programs)
 
 
-_ENUM_ENGINES = ("bitset", "reference")
-_MLGP_ENGINES = ("fast", "reference")
-
-
-def _engine_key(p: dict, kind: str, engines: tuple[str, ...]) -> str:
+def _engine_key(p: dict, kind: str) -> str:
     """Validate the engine param and return it as its cache-key value."""
     engine = p["engine"]
-    if engine not in engines:
+    if engine not in ENGINES:
         raise ReproError(
             f"unknown {kind!r} engine {engine!r}; "
-            f"use one of {', '.join(engines)}"
+            f"use one of {', '.join(ENGINES)}"
         )
     return engine
 
@@ -183,7 +180,7 @@ _IDENTIFY_DEFAULTS: dict[str, Any] = {
     "benchmark": None,
     "max_inputs": 4,
     "max_outputs": 2,
-    "engine": "bitset",
+    "engine": "fast",
 }
 
 
@@ -203,7 +200,7 @@ def _resolve_identify(params: dict) -> tuple[str, dict]:
         svc="identify",
         max_inputs=p["max_inputs"],
         max_outputs=p["max_outputs"],
-        engine=_engine_key(p, "identify", _ENUM_ENGINES),
+        engine=_engine_key(p, "identify"),
     )
     return key, p
 
@@ -236,7 +233,7 @@ def _compute_identify(params: dict) -> dict:
 _CURVE_DEFAULTS: dict[str, Any] = {
     "benchmark": None,
     "objective": "avg",
-    "engine": "bitset",
+    "engine": "fast",
 }
 
 
@@ -251,7 +248,7 @@ def _resolve_curve(params: dict) -> tuple[str, dict]:
         fp,
         svc="curve",
         objective=p["objective"],
-        engine=_engine_key(p, "curve", _ENUM_ENGINES),
+        engine=_engine_key(p, "curve"),
     )
     return key, p
 
@@ -281,7 +278,7 @@ _PARETO_DEFAULTS: dict[str, Any] = {
     "benchmarks": None,
     "eps": 0.69,
     "utilization": 1.0,
-    "engine": "bitset",
+    "engine": "fast",
 }
 
 
@@ -294,7 +291,7 @@ def _resolve_pareto(params: dict) -> tuple[str, dict]:
         svc="pareto",
         eps=p["eps"],
         utilization=p["utilization"],
-        engine=_engine_key(p, "pareto", _ENUM_ENGINES),
+        engine=_engine_key(p, "pareto"),
     )
     return key, p
 
@@ -343,7 +340,7 @@ def _resolve_mlgp(params: dict) -> tuple[str, dict]:
     # Validated but NOT folded into the key: the MLGP engines are
     # bit-identical, so either engine's result deduplicates against the
     # other's.
-    _engine_key(p, "mlgp", _MLGP_ENGINES)
+    _engine_key(p, "mlgp")
     p["benchmarks"] = list(_benchmarks(p["benchmarks"], "mlgp"))
     fp = _joint_fingerprint(_programs(tuple(p["benchmarks"])))
     key = cache.artifact_key(
@@ -433,6 +430,9 @@ def _reconfig_inputs(p: dict):
 
 def _resolve_reconfig(params: dict) -> tuple[str, dict]:
     p = _take(params, _RECONFIG_DEFAULTS, "reconfig")
+    # Validated but NOT folded into the key: the k-way engines are
+    # bit-identical under a fixed seed.
+    _engine_key(p, "reconfig")
     if p["loops"] is not None and p["benchmarks"]:
         raise ReproError("'reconfig' takes either 'loops' or 'benchmarks'")
     if p["benchmarks"]:

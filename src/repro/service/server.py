@@ -980,6 +980,8 @@ class ServerThread:
         self.server = JobServer(**server_kwargs)
         self._thread: threading.Thread | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
+        self._serving: asyncio.Task | None = None
+        self._stop_task: asyncio.Task | None = None
         self._ready = threading.Event()
         self._startup_error: BaseException | None = None
 
@@ -1008,14 +1010,17 @@ class ServerThread:
                     self.port = await self.server.start_tcp(
                         self.host, self.port
                     )
+                # Created before start() returns, so a stop() issued
+                # right after start() finds the server serving.
+                self._serving = loop.create_task(self.server.serve_forever())
             except BaseException as exc:  # surfaced to start()
                 self._startup_error = exc
             finally:
                 self._ready.set()
 
         loop.run_until_complete(boot())
-        if self._startup_error is None:
-            loop.run_until_complete(self.server.serve_forever())
+        if self._serving is not None:
+            loop.run_until_complete(self._serving)
         # Drain pending callbacks (closed connections etc.), then close.
         loop.run_until_complete(asyncio.sleep(0))
         loop.close()
@@ -1032,8 +1037,23 @@ class ServerThread:
         if loop is None or thread is None:
             return
         if thread.is_alive():
-            asyncio.run_coroutine_threadsafe(self.server.stop(), loop)
+            try:
+                loop.call_soon_threadsafe(self._stop_if_serving)
+            except RuntimeError:  # the loop closed; the thread is exiting
+                pass
         thread.join(timeout=timeout)
+
+    def _stop_if_serving(self) -> None:
+        """Start :meth:`JobServer.stop` on the loop thread, but only while
+        ``serve_forever`` is pending: the loop then runs until the stop
+        completes.  Once serving ended (a drain or a ``shutdown`` op got
+        there first) the loop may never turn again, and a coroutine
+        created then would be dropped unawaited."""
+        if self._serving is not None and not self._serving.done():
+            # Keep a reference: the loop holds tasks only weakly.
+            self._stop_task = self._serving.get_loop().create_task(
+                self.server.stop()
+            )
 
     def drain(self, timeout: float | None = None) -> None:
         """Graceful counterpart of :meth:`stop` (blocks until drained)."""

@@ -154,7 +154,7 @@ class TestTaskBuildIntegration:
 
     def test_engines_cached_separately(self):
         program = make_program()
-        build_task(program, engine="bitset")
+        build_task(program, engine="fast")
         build_task(program, engine="reference")
         assert cache.cache_info()["library"]["size"] == 2
 

@@ -120,11 +120,11 @@ class TestBitsetEngine:
         from repro.enumeration import build_candidate_library
         from repro.workloads import get_program
 
-        with pytest.raises(ValueError, match="bitset, reference"):
+        with pytest.raises(ValueError, match="fast, reference"):
             enumerate_connected(diamond_dfg, 4, 2, engine=engine)
         # Checked before the cache lookup, with or without a cache.
         for use_cache in (True, False):
-            with pytest.raises(ValueError, match="bitset, reference"):
+            with pytest.raises(ValueError, match="fast, reference"):
                 build_candidate_library(
                     get_program("crc32"), engine=engine, use_cache=use_cache
                 )
@@ -142,7 +142,7 @@ class TestBitsetEngine:
         )
         bit = enumerate_connected(
             dfg, max_inputs, max_outputs, max_size=10,
-            engine="bitset", **self.GENEROUS,
+            engine="fast", **self.GENEROUS,
         )
         assert bit == ref
 
@@ -155,7 +155,7 @@ class TestBitsetEngine:
 
         dfg = random_small_dfg(seed, 8)
         bit = enumerate_connected(
-            dfg, 4, 2, max_size=8, engine="bitset", **self.GENEROUS
+            dfg, 4, 2, max_size=8, engine="fast", **self.GENEROUS
         )
         und = dfg.to_networkx().to_undirected()
         expected = sorted(
@@ -169,13 +169,13 @@ class TestBitsetEngine:
         assert bit == expected
 
     def test_invalid_nodes_excluded(self, load_split_dfg):
-        for sub in enumerate_connected(load_split_dfg, 8, 8, engine="bitset"):
+        for sub in enumerate_connected(load_split_dfg, 8, 8, engine="fast"):
             assert all(load_split_dfg.is_valid_node(n) for n in sub)
 
     def test_stats_counters_populated(self):
         dfg = random_small_dfg(5, 12)
         stats: dict = {}
-        found = enumerate_connected(dfg, 4, 2, engine="bitset", stats=stats)
+        found = enumerate_connected(dfg, 4, 2, engine="fast", stats=stats)
         # ``feasible`` counts pre-dedup visits, so it can exceed the result.
         assert stats["feasible"] >= len(found)
         assert stats["visited"] >= stats["feasible"]

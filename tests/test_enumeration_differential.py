@@ -1,6 +1,6 @@
 """Differential tests: the bitset enumeration engine vs the reference.
 
-The default ``engine="bitset"`` enumerator is promised
+The default ``engine="fast"`` enumerator is promised
 *candidate-identical* to the original set-based ``engine="reference"``
 whenever the visit budgets and candidate caps do not bind.  These tests
 enforce that promise across seeded random DFGs, synthetic blocks, real
@@ -49,7 +49,7 @@ def _run(dfg, engine, **kw):
 
 def _assert_engines_identical(dfg, **kw):
     ref, ref_stats = _run(dfg, "reference", **kw)
-    bit, bit_stats = _run(dfg, "bitset", **kw)
+    bit, bit_stats = _run(dfg, "fast", **kw)
     assert bit == ref, "bitset candidates diverged from reference"
     # Non-binding budgets: the same feasible subgraphs are counted (bitset
     # visits fewer, since it prunes), and no budget cut is reported.
@@ -118,8 +118,8 @@ class TestArrayBudgets:
             max_inputs=6, max_outputs=4, max_size=12,
             max_candidates=10**6, min_size=2, max_visited=300,
         )
-        a1, s1 = _run(dfg, "bitset", **kw)
-        a2, s2 = _run(dfg, "bitset", **kw)
+        a1, s1 = _run(dfg, "fast", **kw)
+        a2, s2 = _run(dfg, "fast", **kw)
         assert a1 == a2
         assert s1 == s2
         # The budget really bound (otherwise this test is vacuous).
@@ -129,7 +129,7 @@ class TestArrayBudgets:
         rng = random.Random(99)
         dfg = synth_dfg(rng, 80, OP_MIXES["crypto"])
         out, stats = _run(
-            dfg, "bitset", max_inputs=4, max_outputs=2, max_size=10,
+            dfg, "fast", max_inputs=4, max_outputs=2, max_size=10,
             max_candidates=25, min_size=2, max_visited=None,
         )
         assert len(out) <= 25
@@ -138,7 +138,7 @@ class TestArrayBudgets:
     def test_non_binding_budget_flags_no_pruning(self):
         dfg = random_small_dfg(1, n=16)
         _, stats = _run(
-            dfg, "bitset", max_inputs=4, max_outputs=2, max_size=8, **NO_BUDGET
+            dfg, "fast", max_inputs=4, max_outputs=2, max_size=8, **NO_BUDGET
         )
         assert stats["pruned_visit_budget"] == 0
 
@@ -236,7 +236,7 @@ class TestBitsetPinned:
     ):
         dfg = get_program(name).basic_blocks[block].dfg
         out, stats = _run(
-            dfg, "bitset", **dict(self.LIBRARY_DEFAULTS, **overrides)
+            dfg, "fast", **dict(self.LIBRARY_DEFAULTS, **overrides)
         )
         assert stats["pruned_visit_budget"] > 0, "budget must bind"
         assert len(out) == count

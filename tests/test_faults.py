@@ -72,7 +72,7 @@ class TestDegradedDifferential:
         task_set, assignment = seeded_task_set(seed)
         for policy in ("edf", "rms"):
             for fault in range(len(task_set)):
-                for engine in ("event", "reference"):
+                for engine in ("fast", "reference"):
                     verdict, sim, agree = cross_validate_single_fault(
                         task_set, assignment, policy, fault, engine=engine
                     )
@@ -92,7 +92,7 @@ class TestDegradedDifferential:
         for policy in ("edf", "rm"):
             for containment in CONTAINMENT_POLICIES:
                 a = simulate_taskset(
-                    task_set, assignment, policy=policy, engine="event",
+                    task_set, assignment, policy=policy, engine="fast",
                     faults=model, containment=containment,
                 )
                 b = simulate_taskset(
@@ -154,7 +154,7 @@ class TestEmptyModelBitIdentity:
         empty = FaultModel(seed=model_seed)
         assert empty.empty
         for policy in ("edf", "rm"):
-            for engine in ("event", "reference"):
+            for engine in ("fast", "reference"):
                 plain = simulate_taskset(
                     task_set, assignment, policy=policy, engine=engine
                 )

@@ -112,6 +112,22 @@ class TestDemandBound:
         sim = simulate(periods, costs, policy="edf")
         assert analytic == sim.schedulable
 
+    def test_max_points_guard_fires_before_points_are_built(self, monkeypatch):
+        """U = 0.9 with a 5e7 deadline slack: the horizon is 1.5e8, so the
+        period-1 task alone would need 1.5e8 (> 10^7) deadline points.  The
+        guard must raise from the per-task counts, never materializing a
+        point list."""
+        from repro.rtsched import dbf
+
+        def no_points(*args, **kwargs):
+            raise AssertionError("deadline points built before the guard")
+
+        monkeypatch.setattr(dbf, "deadline_points", no_points)
+        with pytest.raises(ScheduleError, match=r"needs 150000002 points"):
+            dbf.edf_constrained_schedulable(
+                [1.0, 1e8], [0.5, 4e7], [1.0, 5e7], max_points=10**7
+            )
+
     def test_validation(self):
         with pytest.raises(ScheduleError):
             edf_constrained_schedulable([4], [1], [5])  # D > P

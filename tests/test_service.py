@@ -332,7 +332,7 @@ class TestFailuresAndProtocol:
         with _server() as srv:
             with ServiceClient(**srv.address) as c:
                 for engine in ("array", "compiled", "auto"):
-                    with pytest.raises(ReproError, match="bitset, reference"):
+                    with pytest.raises(ReproError, match="fast, reference"):
                         c.submit("identify",
                                  {"benchmark": "crc32", "engine": engine})
                     with pytest.raises(ReproError, match="fast, reference"):

@@ -285,21 +285,23 @@ class TestCrashRecovery:
 
     def test_retired_engine_replay_fails_durably(self, tmp_path):
         # An older server accepted engines this one no longer ships
-        # ("auto" among them) and journaled such a job: the new server
-        # must start healthy, fail that record terminally once, and not
-        # replay it again.
+        # ("auto" and "bitset" among them) and journaled such jobs: the
+        # new server must start healthy, fail each record terminally
+        # once, and not replay them again.
         from repro import obs
 
         journal = str(tmp_path / "j.jsonl")
-        key = "svc-identify-crc32-auto"
+        retired = ("auto", "bitset")
+        keys = [f"svc-identify-crc32-{engine}" for engine in retired]
         j = JobJournal(journal, fsync_every=1)
         j.open()
-        j.record_submitted(
-            key,
-            "identify",
-            {"benchmark": "crc32", "max_inputs": 4, "max_outputs": 2,
-             "engine": "auto"},
-        )
+        for key, engine in zip(keys, retired):
+            j.record_submitted(
+                key,
+                "identify",
+                {"benchmark": "crc32", "max_inputs": 4, "max_outputs": 2,
+                 "engine": engine},
+            )
         j.close()
 
         obs.reset()
@@ -312,18 +314,19 @@ class TestCrashRecovery:
         assert health["accepting"] is True
         assert health["counters"]["recovered"] == 0
         counters = obs.metrics_snapshot()["counters"]
-        assert counters.get("service.journal.replay_failed") == 1
+        assert counters.get("service.journal.replay_failed") == 2
         with open(journal, "rb") as fh:
             records = [json.loads(line) for line in fh]
         failed = [r for r in records if r["rec"] == "failed"]
-        assert [r["key"] for r in failed] == [key]
-        assert "auto" in failed[0]["error"]
+        assert sorted(r["key"] for r in failed) == sorted(keys)
+        for rec in failed:
+            assert rec["key"].rsplit("-", 1)[1] in rec["error"]
 
         srv2 = ServerThread(journal=journal, use_processes=False).start()
         srv2.stop()
         assert srv2.server.counters["recovered"] == 0
         counters = obs.metrics_snapshot()["counters"]
-        assert counters.get("service.journal.replay_failed") == 1
+        assert counters.get("service.journal.replay_failed") == 2
         live, _ = replay_journal(journal)
         assert live == []
 
@@ -410,6 +413,66 @@ class TestDrain:
         finally:
             kind.gate.set()
             srv.stop()
+
+
+    def test_stop_right_after_start_stops_the_thread(self):
+        # stop() issued the moment start() returns must find the server
+        # serving and end the thread, in every one of many tries.
+        for _ in range(30):
+            srv = ServerThread(use_processes=False).start()
+            srv.stop(timeout=5)
+            assert not srv._thread.is_alive()
+
+    @pytest.mark.parametrize("hold", ("before_close", "after_close"))
+    def test_stop_after_serving_ended_leaves_no_coroutine(
+        self, hold, monkeypatch
+    ):
+        # ServerThread.stop racing the thread's exit: serving has already
+        # ended (here through the shutdown op), so the loop will not turn
+        # again, yet the thread is still alive.  The thread is held there
+        # deterministically, just before or just after its loop closes;
+        # stop() must neither raise nor drop a never-awaited coroutine.
+        import asyncio
+        import gc
+        import warnings
+
+        ended, release = threading.Event(), threading.Event()
+        real_new_loop = asyncio.new_event_loop
+
+        def held_loop():
+            loop = real_new_loop()
+            real_close = loop.close
+
+            def close():
+                if hold == "after_close":
+                    real_close()
+                ended.set()
+                release.wait(timeout=10)
+                if hold == "before_close":
+                    real_close()
+
+            loop.close = close
+            return loop
+
+        monkeypatch.setattr(asyncio, "new_event_loop", held_loop)
+        srv = ServerThread(use_processes=False).start()
+        try:
+            with ServiceClient(**srv.address) as c:
+                c.shutdown()
+            assert ended.wait(timeout=10)
+            assert srv._thread.is_alive()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                srv.stop(timeout=0)
+                release.set()
+                srv._thread.join(timeout=10)
+                gc.collect()
+        finally:
+            release.set()
+            srv.stop()
+        assert not srv._thread.is_alive()
+        runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert runtime == [], [str(w.message) for w in runtime]
 
 
 class TestRetryBudget:
