@@ -223,7 +223,7 @@ def test_partitioning_speed_trajectory():
 
     assert engine["speedup"] >= 2.0, (
         f"MLGP fast engine only {engine['speedup']}x vs reference "
-        "(soft guard: >= 2x)"
+        "(guard: >= 2x)"
     )
     assert pipeline["speedup"] >= 5.0, (
         f"partitioning pipeline only {pipeline['speedup']}x vs the "

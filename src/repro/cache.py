@@ -31,9 +31,9 @@ payload.
 *Storage* of the persistent tier is pluggable (:mod:`repro.cache_backends`):
 the default :class:`~repro.cache_backends.LocalDirBackend` keeps one JSON
 file per entry under ``REPRO_CACHE_DIR`` with **LRU-by-mtime eviction**
-under ``REPRO_CACHE_MAX_BYTES`` / ``REPRO_CACHE_MAX_ENTRIES`` budgets;
-``REPRO_CACHE_BACKEND=shared`` selects the multi-host variant for shared
-filesystems, and tests/embedders can :func:`set_backend` a
+under ``REPRO_CACHE_MAX_BYTES`` / ``REPRO_CACHE_MAX_ENTRIES`` budgets
+(the directory is shared by the processes of one host), and
+tests/embedders can :func:`set_backend` a
 :class:`~repro.cache_backends.MemoryBackend`.  Envelope validation (this
 module) is backend-independent, so every tier gets the same checksum and
 quarantine guarantees.
@@ -67,7 +67,6 @@ __all__ = [
     "artifact_key",
     "active_backend",
     "cache_dir",
-    "cache_info",
     "disk_stats",
     "registered_kinds",
     "stats",
@@ -244,7 +243,7 @@ def set_backend(backend: CacheBackend | None) -> None:
 
     Takes precedence over :func:`set_cache_dir` / ``REPRO_CACHE_DIR``; use
     :func:`reset_backend` to drop the override and derive the backend from
-    the directory and ``REPRO_CACHE_BACKEND`` again.
+    the directory again.
     """
     global _backend_override
     _backend_override = backend
@@ -261,10 +260,10 @@ def reset_backend() -> None:
 def active_backend() -> CacheBackend | None:
     """The persistent-tier backend in effect, or ``None`` when disabled.
 
-    Without a :func:`set_backend` override the backend is constructed from
-    :func:`cache_dir` and the ``REPRO_CACHE_BACKEND`` /
-    ``REPRO_CACHE_MAX_BYTES`` / ``REPRO_CACHE_MAX_ENTRIES`` environment,
-    and memoized until any of those change.
+    Without a :func:`set_backend` override the backend is a
+    :class:`~repro.cache_backends.LocalDirBackend` on :func:`cache_dir`
+    with the ``REPRO_CACHE_MAX_BYTES`` / ``REPRO_CACHE_MAX_ENTRIES``
+    budgets, memoized until any of those change.
     """
     global _auto_backend
     if _backend_override != "":
@@ -274,13 +273,12 @@ def active_backend() -> CacheBackend | None:
         return None
     sig = (
         str(d),
-        os.environ.get(cache_backends.ENV_BACKEND),
         os.environ.get(cache_backends.ENV_MAX_BYTES),
         os.environ.get(cache_backends.ENV_MAX_ENTRIES),
     )
     if _auto_backend is not None and _auto_backend[0] == sig:
         return _auto_backend[1]
-    backend = cache_backends.backend_from_env(d)
+    backend = cache_backends.LocalDirBackend(d)
     _auto_backend = (sig, backend)
     # Seed the cache.disk.* occupancy gauges so even read-only runs
     # surface the tier in metrics snapshots / trace summaries.
@@ -329,10 +327,6 @@ def stats() -> dict[str, dict[str, Any]]:
     if disk is not None:
         out["disk"] = disk
     return out
-
-
-#: Backwards-compatible alias (pre-observability name).
-cache_info = stats
 
 
 # ----------------------------------------------------------------------
@@ -758,9 +752,9 @@ def fetch_service_result(key: str) -> dict[str, Any] | None:
     """Cached :mod:`repro.service` job result (jsonable dict) or None.
 
     The service's at-rest dedup tier: completed job results are
-    content-keyed like every other artifact, so workers — including
-    workers on *other hosts* sharing a :class:`SharedDirBackend`
-    directory — serve repeated requests straight from the store.
+    content-keyed like every other artifact, so every worker process
+    sharing the cache directory serves repeated requests straight from
+    the store.
     """
     return _fetch_json(_SERVICE, "service", key)
 

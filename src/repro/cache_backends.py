@@ -1,8 +1,8 @@
-"""Pluggable storage backends for the artifact cache's shared tier.
+"""Pluggable storage backends for the artifact cache's persistent tier.
 
 :mod:`repro.cache` keeps the *logic* of the persistent tier — entry
 envelopes, payload checksums, corruption quarantine — and delegates the
-*storage* to a backend object.  Three backends ship:
+*storage* to a backend object.  Two backends ship:
 
 * :class:`LocalDirBackend` — the default: one JSON file per entry under a
   local directory (``REPRO_CACHE_DIR``), written atomically (unique
@@ -11,12 +11,9 @@ envelopes, payload checksums, corruption quarantine — and delegates the
   budgets.  Reads refresh the entry's mtime, so recently used artifacts
   survive the sweep; the sweep itself is guarded by a non-blocking
   ``flock`` so exactly one process pays for it at a time (contenders skip
-  and count ``cache.disk.lock_contention``).
-* :class:`SharedDirBackend` — the same layout pointed at a *shared*
-  directory (NFS, a bind-mounted volume): multiple hosts share one
-  content-addressed store.  ``flock`` is unreliable on network
-  filesystems, so the sweep lock is an ``O_CREAT|O_EXCL`` lock file with
-  stale-lock breaking instead.
+  and count ``cache.disk.lock_contention``).  The directory is meant for
+  the processes of one host: ``flock`` is not reliable on network
+  filesystems.
 * :class:`MemoryBackend` — a process-local dict with the same budgets and
   LRU behavior; for tests and for embedding the job server without
   touching the filesystem.
@@ -37,6 +34,7 @@ file): the cache tier is an accelerator, not a correctness dependency.
 
 from __future__ import annotations
 
+import fcntl
 import os
 import tempfile
 import threading
@@ -47,32 +45,19 @@ from typing import Any
 
 from repro import obs
 
-try:  # pragma: no cover - platform probe
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX
-    fcntl = None  # type: ignore[assignment]
-
 __all__ = [
     "CacheBackend",
     "LocalDirBackend",
-    "SharedDirBackend",
     "MemoryBackend",
-    "backend_from_env",
     "ENV_MAX_BYTES",
     "ENV_MAX_ENTRIES",
-    "ENV_BACKEND",
 ]
 
 ENV_MAX_BYTES = "REPRO_CACHE_MAX_BYTES"
 ENV_MAX_ENTRIES = "REPRO_CACHE_MAX_ENTRIES"
-ENV_BACKEND = "REPRO_CACHE_BACKEND"
 
 #: A *.tmp file older than this is an orphan from a crashed writer.
 _STALE_TMP_SECONDS = 300.0
-#: A shared-dir lock file older than this is stale (holder crashed).
-#: Sweeps refresh the lock's mtime while they run, so a live sweep is
-#: never mistaken for a crashed holder even when it outlasts this.
-_STALE_LOCK_SECONDS = 300.0
 
 
 def _env_int(name: str) -> int | None:
@@ -122,10 +107,10 @@ class CacheBackend:
         raise NotImplementedError
 
 
-class _DirBackend(CacheBackend):
-    """Shared machinery of the directory-backed tiers."""
+class LocalDirBackend(CacheBackend):
+    """Local-directory tier: atomic JSON files + flock-guarded eviction."""
 
-    name = "dir"
+    name = "local"
 
     #: Stores between occupancy sweeps when budgets are configured.  The
     #: sweep scans the directory, so amortize it; the budgets are soft by
@@ -232,19 +217,6 @@ class _DirBackend(CacheBackend):
                 f.unlink(missing_ok=True)
 
     # -- eviction ------------------------------------------------------
-    def _acquire_sweep_lock(self):
-        """An opaque token when this process may sweep, else None."""
-        raise NotImplementedError
-
-    def _release_sweep_lock(self, token) -> None:
-        raise NotImplementedError
-
-    def _refresh_sweep_lock(self, token) -> None:
-        """Keep the sweep lock visibly live during a long sweep.
-
-        Only lock-file backends need this (an flock is released by the
-        kernel when the holder dies, so it cannot go stale)."""
-
     def _scan(self) -> list[tuple[float, int, str]]:
         """(mtime, size, name) of every cache-owned file, oldest first.
 
@@ -275,15 +247,20 @@ class _DirBackend(CacheBackend):
                         except OSError:
                             pass
                     continue
-                if name.endswith(".lock"):
-                    continue
                 rows.append((st.st_mtime, st.st_size, name))
         rows.sort()
         return rows
 
     def sweep(self) -> None:
-        token = self._acquire_sweep_lock()
-        if token is None:
+        fd = -1
+        try:
+            fd = os.open(
+                self.root / "repro-cache.lock", os.O_CREAT | os.O_RDWR, 0o644
+            )
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except OSError:
+            if fd >= 0:
+                os.close(fd)
             # Another process is sweeping; skip rather than queue up —
             # its sweep covers our writes too.
             self.lock_contention += 1
@@ -291,10 +268,6 @@ class _DirBackend(CacheBackend):
             return
         try:
             rows = self._scan()
-            # The scan of a huge (or slow, NFS) directory may itself take
-            # a while: refresh before evicting so the lock never looks
-            # abandoned to contenders.
-            self._refresh_sweep_lock(token)
             total = sum(size for _, size, _ in rows)
             count = len(rows)
             evicted = 0
@@ -316,8 +289,6 @@ class _DirBackend(CacheBackend):
                 count -= 1
                 evicted += 1
                 evicted_bytes += size
-                if evicted % 128 == 0:
-                    self._refresh_sweep_lock(token)
             with self._lock:
                 self.evictions += evicted
                 self.evicted_bytes += evicted_bytes
@@ -330,7 +301,12 @@ class _DirBackend(CacheBackend):
             obs.set_gauge("cache.disk.bytes", total)
             obs.set_gauge("cache.disk.entries", count)
         finally:
-            self._release_sweep_lock(token)
+            # Unlock explicitly: a child forked mid-sweep shares the open
+            # file description, so closing ours alone would not release it.
+            try:
+                fcntl.flock(fd, fcntl.LOCK_UN)
+            finally:
+                os.close(fd)
 
     def stats(self) -> dict[str, Any]:
         # Refresh occupancy so stats() reflects the directory as-is even
@@ -352,149 +328,6 @@ class _DirBackend(CacheBackend):
                 "evicted_bytes": self.evicted_bytes,
                 "lock_contention": self.lock_contention,
             }
-
-
-class LocalDirBackend(_DirBackend):
-    """Local-directory tier: atomic JSON files + flock-guarded eviction."""
-
-    name = "local"
-
-    def _acquire_sweep_lock(self):
-        if fcntl is None:  # pragma: no cover - non-POSIX fallback
-            return _ExclLock.acquire(self.root)
-        try:
-            fd = os.open(
-                self.root / "repro-cache.lock", os.O_CREAT | os.O_RDWR, 0o644
-            )
-        except OSError:
-            return None
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError:
-            os.close(fd)
-            return None
-        return fd
-
-    def _release_sweep_lock(self, token) -> None:
-        if fcntl is None:  # pragma: no cover - non-POSIX fallback
-            _ExclLock.release(token)
-            return
-        try:
-            fcntl.flock(token, fcntl.LOCK_UN)
-        finally:
-            os.close(token)
-
-    def _refresh_sweep_lock(self, token) -> None:
-        if fcntl is None:  # pragma: no cover - non-POSIX fallback
-            _ExclLock.refresh(token)
-
-
-class _ExclLock:
-    """``O_CREAT|O_EXCL`` lock file with stale-lock breaking.
-
-    The portable (and NFS-tolerant) mutual exclusion: creation is atomic
-    even on network filesystems where ``flock`` silently degrades.  A lock
-    whose file is older than :data:`_STALE_LOCK_SECONDS` is presumed
-    abandoned (holder crashed) and broken.
-    """
-
-    @staticmethod
-    def acquire(root: Path):
-        path = root / "repro-cache.lock.pid"
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-        except FileExistsError:
-            _ExclLock._break_if_stale(path)
-            return None
-        except OSError:
-            return None
-        try:
-            os.write(fd, str(os.getpid()).encode())
-        finally:
-            os.close(fd)
-        return path
-
-    @staticmethod
-    def _break_if_stale(path: Path) -> None:
-        """Remove an abandoned lock without deleting a live one.
-
-        Breaking by plain ``unlink`` races: between the staleness check
-        and the unlink the holder may release and a contender re-create a
-        *fresh* lock, which the unlink would then destroy — admitting two
-        sweepers.  Instead the breaker atomically *renames* the lock to a
-        unique name (only one breaker can win the rename), re-checks
-        staleness on the renamed file — rename preserves mtime, so a
-        freshly created lock grabbed by mistake is detected — and only
-        then unlinks.  A fresh lock grabbed in the window is renamed back
-        (best-effort; losing that race costs one redundant, idempotent
-        sweep).
-        """
-        try:
-            if time.time() - path.stat().st_mtime <= _STALE_LOCK_SECONDS:
-                return
-        except OSError:
-            return
-        doomed = path.with_name(
-            f"{path.name}.stale.{os.getpid()}.{time.monotonic_ns()}"
-        )
-        try:
-            os.rename(path, doomed)
-        except OSError:
-            return  # another breaker won, or the holder released
-        try:
-            fresh = time.time() - doomed.stat().st_mtime <= _STALE_LOCK_SECONDS
-        except OSError:
-            return
-        if fresh:
-            # We stole a just-created lock: give it back unless a newer
-            # lock already took the canonical name (rename would clobber
-            # it — then just drop ours).
-            try:
-                if not path.exists():
-                    os.rename(doomed, path)
-                    return
-            except OSError:
-                pass
-        try:
-            os.unlink(doomed)
-        except OSError:
-            pass
-
-    @staticmethod
-    def refresh(token) -> None:
-        """Refresh the lock's mtime so a long sweep is not broken live."""
-        try:
-            os.utime(token)
-        except OSError:
-            pass
-
-    @staticmethod
-    def release(token) -> None:
-        try:
-            os.unlink(token)
-        except OSError:
-            pass
-
-
-class SharedDirBackend(_DirBackend):
-    """Shared-directory tier for multi-host stores (NFS, mounted volumes).
-
-    Same entry layout as :class:`LocalDirBackend` — hosts pointed at the
-    same directory share one content-addressed result store — but the
-    sweep lock is an exclusive-create lock file (atomic on network
-    filesystems) with stale-lock breaking instead of ``flock``.
-    """
-
-    name = "shared"
-
-    def _acquire_sweep_lock(self):
-        return _ExclLock.acquire(self.root)
-
-    def _release_sweep_lock(self, token) -> None:
-        _ExclLock.release(token)
-
-    def _refresh_sweep_lock(self, token) -> None:
-        _ExclLock.refresh(token)
 
 
 class MemoryBackend(CacheBackend):
@@ -595,18 +428,3 @@ class MemoryBackend(CacheBackend):
                 "evicted_bytes": self.evicted_bytes,
                 "lock_contention": self.lock_contention,
             }
-
-
-def backend_from_env(root: Path) -> CacheBackend:
-    """The directory backend named by ``REPRO_CACHE_BACKEND`` for *root*.
-
-    ``local`` (default) or ``shared``; ``memory`` is only reachable
-    programmatically (an env-selected memory tier under a directory path
-    would silently drop the directory, which is a misconfiguration).
-    An unknown name falls back to ``local`` — a typo must not disable
-    persistence.
-    """
-    kind = os.environ.get(ENV_BACKEND, "local").strip().lower()
-    if kind == "shared":
-        return SharedDirBackend(root)
-    return LocalDirBackend(root)

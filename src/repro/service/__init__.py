@@ -20,9 +20,10 @@ into cache hits:
   :mod:`repro.parallel`'s degradation semantics, **in-flight coalescing**
   (concurrent identical requests await one computation) and **at-rest
   dedup** (completed results are stored behind the same key in the
-  ``service`` kind of :mod:`repro.cache`, so restarts and *other hosts*
-  sharing a cache directory serve them without recomputing), plus a
-  JSON-lines protocol over a unix socket or localhost TCP;
+  ``service`` kind of :mod:`repro.cache`, so restarts and other
+  processes on the host sharing a cache directory serve them without
+  recomputing), plus a JSON-lines protocol over a unix socket or
+  localhost TCP;
 * :mod:`repro.service.journal` — the write-ahead job journal
   (:class:`~repro.service.journal.JobJournal`): an append-only JSONL log
   of job lifecycle records with fsync batching, compaction on checkpoint

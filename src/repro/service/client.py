@@ -299,16 +299,12 @@ class ServiceClient:
             lambda: self.request({"op": "status", "job_id": job_id})["job"]
         )
 
-    def watch(
-        self,
-        job_id: str,
-        callback: Callable[[dict[str, Any]], None] | None = None,
-    ) -> Iterator[dict[str, Any]]:
+    def watch(self, job_id: str) -> Iterator[dict[str, Any]]:
         """Stream a job's lifecycle events until its terminal summary.
 
         Yields each event dict (``queued`` / ``started`` / ``spans`` /
         ``done`` / ``failed``) and finally the ``{"done": true, "job":
-        ...}`` summary; *callback*, when given, also receives each one.
+        ...}`` summary.
 
         With ``retries`` armed the stream survives a server restart:
         the watch re-attaches (resubmitting the remembered spec when
@@ -333,8 +329,6 @@ class ServiceClient:
                         # Replayed after a reconnect: already yielded.
                         skip -= 1
                         continue
-                    if callback is not None:
-                        callback(event)
                     yield event
                     yielded += 1
                     if event.get("done"):

@@ -11,10 +11,10 @@ dedupes **twice** before any work is queued:
    running returns that job; N concurrent submits await one computation
    (counter ``service.coalesced``);
 2. **at-rest hit** — a completed result stored behind the same key in the
-   artifact cache's ``service`` kind (in-process LRU + the shared
-   persistent tier, so server restarts and other hosts sharing a cache
-   directory are covered) materializes a done job without touching the
-   queue (counter ``service.result_hits``).
+   artifact cache's ``service`` kind (in-process LRU + the persistent
+   tier, so server restarts and other processes on the host sharing a
+   cache directory are covered) materializes a done job without touching
+   the queue (counter ``service.result_hits``).
 
 Everything else enters a bounded :class:`asyncio.PriorityQueue` (higher
 ``priority`` runs earlier; FIFO within a priority level; a full queue
@@ -112,6 +112,10 @@ _DRAIN_ERROR = "draining:"
 #: to spare.
 _HANDOFF_CYCLES = 4
 
+#: Jobs remembered for ``status``/``jobs``/``watch`` lookups; beyond this
+#: many the oldest terminal ones are forgotten (results stay cached).
+_HISTORY = 1024
+
 
 class QueueFullError(ReproError):
     """The bounded job queue rejected a submit (backpressure)."""
@@ -181,7 +185,6 @@ class JobServer:
         queue_size: int = 128,
         use_processes: bool = True,
         job_timeout: float | None = None,
-        history: int = 1024,
         journal: str | JobJournal | None = None,
         retries: int = 2,
         drain_timeout: float = 30.0,
@@ -196,7 +199,6 @@ class JobServer:
         self.queue_size = queue_size
         self.use_processes = use_processes and parallel.pool_allowed()
         self.job_timeout = job_timeout
-        self.history = history
         self.retries = retries
         self.drain_timeout = drain_timeout
         self.started_at: float | None = None
@@ -464,8 +466,8 @@ class JobServer:
             return inflight, "coalesced"
 
         # Register the job in-flight *before* the at-rest lookup: the
-        # lookup runs in a thread (a large or NFS-backed cache directory
-        # must not stall the event loop), and a concurrent identical
+        # lookup runs in a thread (reading a large cache directory must
+        # not stall the event loop), and a concurrent identical
         # submit arriving during the await coalesces onto this job
         # instead of racing a second lookup/computation.
         job = self._new_job(kind, key, norm, priority)
@@ -519,7 +521,7 @@ class JobServer:
         job = Job(f"job-{next(self._seq)}", kind, key, params, priority)
         self._jobs[job.id] = job
         self._order.append(job.id)
-        while len(self._order) > self.history:
+        while len(self._order) > _HISTORY:
             old = self._order.pop(0)
             stale = self._jobs.get(old)
             if stale is not None and stale.state in _DONE_STATES:
@@ -891,7 +893,7 @@ class JobServer:
             })
         elif op == "stats":
             # cache.stats() scans the cache directory; keep that off the
-            # event loop so a slow (NFS) store never stalls connections.
+            # event loop so a large directory never stalls connections.
             st = await asyncio.get_running_loop().run_in_executor(
                 None, self.stats
             )

@@ -63,32 +63,32 @@ class TestLibraryCache:
     def test_second_build_hits_cache(self):
         program = make_program()
         first = build_candidate_library(program)
-        before = cache.cache_info()["library"]["hits"]
+        before = cache.stats()["library"]["hits"]
         second = build_candidate_library(program)
-        assert cache.cache_info()["library"]["hits"] == before + 1
+        assert cache.stats()["library"]["hits"] == before + 1
         assert first.candidates == second.candidates
 
     def test_equivalent_program_objects_share_entries(self):
         first = build_candidate_library(make_program("x"))
         second = build_candidate_library(make_program("y"))
         assert first.candidates == second.candidates
-        assert cache.cache_info()["library"]["hits"] >= 1
+        assert cache.stats()["library"]["hits"] >= 1
 
     def test_use_cache_false_bypasses(self):
         program = make_program()
         build_candidate_library(program, use_cache=False)
-        assert cache.cache_info()["library"]["size"] == 0
+        assert cache.stats()["library"]["size"] == 0
 
     def test_param_change_misses(self):
         program = make_program()
         build_candidate_library(program)
         build_candidate_library(program, max_inputs=2)
-        assert cache.cache_info()["library"]["size"] == 2
+        assert cache.stats()["library"]["size"] == 2
 
     def test_disabled_globally(self):
         cache.set_enabled(False)
         build_candidate_library(make_program())
-        assert cache.cache_info()["library"]["size"] == 0
+        assert cache.stats()["library"]["size"] == 0
 
 
 class TestCurveCache:
@@ -98,14 +98,14 @@ class TestCurveCache:
         a = build_configuration_curve(program, lib.candidates)
         b = build_configuration_curve(program, lib.candidates)
         assert a == b
-        assert cache.cache_info()["curve"]["hits"] >= 1
+        assert cache.stats()["curve"]["hits"] >= 1
 
     def test_candidate_subset_gets_distinct_entry(self):
         program = make_program()
         lib = build_candidate_library(program)
         full = build_configuration_curve(program, lib.candidates)
         half = build_configuration_curve(program, lib.candidates[: len(lib) // 2])
-        assert cache.cache_info()["curve"]["size"] == 2
+        assert cache.stats()["curve"]["size"] == 2
         assert full[0].cycles == half[0].cycles  # same software point
 
 
@@ -148,7 +148,7 @@ class TestTaskBuildIntegration:
         cold = build_task(program)
         warm = build_task(program)
         assert cold == warm
-        info = cache.cache_info()
+        info = cache.stats()
         assert info["library"]["hits"] >= 1
         assert info["curve"]["hits"] >= 1
 
@@ -156,7 +156,7 @@ class TestTaskBuildIntegration:
         program = make_program()
         build_task(program, engine="fast")
         build_task(program, engine="reference")
-        assert cache.cache_info()["library"]["size"] == 2
+        assert cache.stats()["library"]["size"] == 2
 
     def test_parallel_build_matches_serial(self):
         programs = [make_program(f"p{i}", bound=10 + i) for i in range(3)]
@@ -356,58 +356,35 @@ class TestBackendsAndEviction:
         assert "disk" not in cache.stats()
         assert cache.disk_stats() is None
 
-    def test_backend_from_env_selection(self, tmp_path, monkeypatch):
-        from repro import cache_backends
+    def test_local_sweep_skips_while_another_process_holds_the_lock(
+        self, tmp_path
+    ):
+        import fcntl
+        import os
 
-        monkeypatch.setenv(cache_backends.ENV_BACKEND, "shared")
-        assert cache_backends.backend_from_env(tmp_path).name == "shared"
-        monkeypatch.setenv(cache_backends.ENV_BACKEND, "bogus")
-        assert cache_backends.backend_from_env(tmp_path).name == "local"
-        monkeypatch.delenv(cache_backends.ENV_BACKEND)
-        assert cache_backends.backend_from_env(tmp_path).name == "local"
+        from repro.cache_backends import LocalDirBackend
 
-    def test_shared_backend_excl_lock_blocks_second_sweeper(self, tmp_path):
-        from repro.cache_backends import SharedDirBackend, _ExclLock
-
-        backend = SharedDirBackend(tmp_path, max_entries=1)
+        backend = LocalDirBackend(tmp_path, max_entries=1, sweep_interval=50)
         cache.set_backend(backend)
         try:
             self._fill(3)
-            token = _ExclLock.acquire(tmp_path)
-            assert token is not None
-            before = backend.lock_contention
-            backend.sweep()  # contended: must skip, not block or corrupt
-            assert backend.lock_contention == before + 1
-            _ExclLock.release(token)
+            # A second open file description conflicts with the backend's
+            # own exactly as another process's flock would.
+            fd = os.open(tmp_path / "repro-cache.lock", os.O_CREAT | os.O_RDWR)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                backend.sweep()  # contended: must skip, not block or evict
+                assert backend.lock_contention == 1
+                assert backend.evictions == 0
+                assert len(list(tmp_path.glob("repro-cache-*.json"))) == 3
+            finally:
+                os.close(fd)
             backend.sweep()
+            assert backend.lock_contention == 1
+            assert backend.evictions == 2
             assert len(list(tmp_path.glob("repro-cache-*.json"))) == 1
         finally:
             cache.reset_backend()
-
-    def test_excl_lock_breaks_stale_but_never_fresh_locks(self, tmp_path):
-        import os
-        import time
-
-        from repro import cache_backends
-        from repro.cache_backends import _ExclLock
-
-        path = tmp_path / "repro-cache.lock.pid"
-        path.write_text("12345")
-        # A fresh lock is honored: the contender backs off without
-        # touching it.
-        assert _ExclLock.acquire(tmp_path) is None
-        assert path.exists()
-        # A stale lock (holder presumed crashed) is broken — via
-        # rename-to-unique + unlink so concurrent breakers cannot
-        # destroy a fresh lock created in the window — and the next
-        # acquire wins.
-        old = time.time() - cache_backends._STALE_LOCK_SECONDS - 5
-        os.utime(path, (old, old))
-        assert _ExclLock.acquire(tmp_path) is None  # breaker retries later
-        assert not path.exists()
-        token = _ExclLock.acquire(tmp_path)
-        assert token is not None
-        _ExclLock.release(token)
 
     def test_env_budget_drives_auto_backend(self, tmp_path, monkeypatch):
         from repro import cache_backends

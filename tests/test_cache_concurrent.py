@@ -66,7 +66,6 @@ def _run_hammers(
             "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
         }
     )
-    env.pop("REPRO_CACHE_BACKEND", None)
     env.update(extra_env or {})
     procs = [
         subprocess.Popen(

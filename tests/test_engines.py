@@ -47,10 +47,10 @@ def _enumerate(engine):
     enumerate_connected(_dfg(), 4, 2, engine=engine)
 
 
-def _library(engine):
+def _library(engine, use_cache=True):
     from repro.enumeration import build_candidate_library
 
-    build_candidate_library(_program(), engine=engine)
+    build_candidate_library(_program(), engine=engine, use_cache=use_cache)
 
 
 def _frontend(engine):
@@ -107,11 +107,13 @@ def _rms(engine):
     select_rms(_task_set(), 10.0, engine=engine)
 
 
-def _mlgp(engine):
+def _mlgp(engine, use_cache=True):
     from repro.mlgp import mlgp_partition
 
     dfg = _dfg()
-    mlgp_partition(dfg, max(dfg.regions(), key=len), engine=engine)
+    mlgp_partition(
+        dfg, max(dfg.regions(), key=len), engine=engine, use_cache=use_cache
+    )
 
 
 def _mlgp_flow(engine):
@@ -143,6 +145,7 @@ def _iterative(engine):
 ENTRY_POINTS = {
     "enumeration": _enumerate,
     "library": _library,
+    "library.uncached": lambda e: _library(e, use_cache=False),
     "frontend": _frontend,
     "core.flow": _flow,
     "pareto.inter": _inter,
@@ -153,6 +156,7 @@ ENTRY_POINTS = {
     "faults.degraded": _faults_degraded,
     "rms": _rms,
     "mlgp": _mlgp,
+    "mlgp.uncached": lambda e: _mlgp(e, use_cache=False),
     "mlgp.flow": _mlgp_flow,
     "mlgp.profile": _mlgp_profile,
     "kway": _kway,

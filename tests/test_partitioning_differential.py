@@ -15,7 +15,6 @@ import random
 import pytest
 
 from repro import cache, obs
-from repro.mlgp.flow import iterative_customization, mlgp_program_profile
 from repro.mlgp.mlgp import mlgp_partition
 from repro.mtreconfig.dp import dp_solution
 from repro.mtreconfig.model import ReconfigTask, TaskVersion
@@ -87,18 +86,6 @@ class TestMlgpDifferential:
             return {k: v for k, v in snap.items() if k.startswith("mlgp.")}
 
         assert counters("fast") == counters("reference")
-
-    @pytest.mark.parametrize("engine", ("array", "compiled", "auto"))
-    def test_retired_engines_rejected(self, engine):
-        dfg = random_small_dfg(2, n=12)
-        region = max(dfg.regions(), key=len)
-        with pytest.raises(ValueError, match="fast, reference"):
-            mlgp_partition(dfg, region, engine=engine, use_cache=False)
-        prog = get_program("crc32")
-        with pytest.raises(ValueError, match="fast, reference"):
-            iterative_customization([prog], [1.0], engine=engine)
-        with pytest.raises(ValueError, match="fast, reference"):
-            mlgp_program_profile(prog, engine=engine)
 
     def test_seed_determinism(self):
         """Same seed -> same result; the seed is part of the cache key."""

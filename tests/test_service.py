@@ -328,17 +328,6 @@ class TestFailuresAndProtocol:
                 with pytest.raises(ReproError, match="unknown"):
                     c.submit("curve", {"benchmark": "crc32", "bogus": 1})
 
-    def test_retired_engine_is_an_error(self):
-        with _server() as srv:
-            with ServiceClient(**srv.address) as c:
-                for engine in ("array", "compiled", "auto"):
-                    with pytest.raises(ReproError, match="fast, reference"):
-                        c.submit("identify",
-                                 {"benchmark": "crc32", "engine": engine})
-                    with pytest.raises(ReproError, match="fast, reference"):
-                        c.submit("mlgp",
-                                 {"benchmarks": ["crc32"], "engine": engine})
-
     def test_ping_stats_jobs_ops(self, recorder):
         with _server() as srv:
             with ServiceClient(**srv.address) as c:
