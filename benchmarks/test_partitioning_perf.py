@@ -4,14 +4,15 @@ Times the Chapter 5-7 partitioning stack on the Table 5.1 workload and
 writes ``benchmarks/results/BENCH_partitioning.json``:
 
 * ``mlgp.engine`` — one full region sweep per benchmark, reference vs
-  fast MLGP engine, both cache-cold and cache-free; the engines' results
-  are asserted bit-identical while timing.
+  fast MLGP engine, both cache-cold and cache-free, best of ``BEST_OF``
+  samples; the engines' results are asserted bit-identical while timing.
 * ``mlgp.pipeline`` — the repeated same-seed sweep the ch5 generation
   pipeline performs, pre-PR stack (reference engine, no region cache)
   vs current stack (fast engine + content-keyed ``mlgp`` cache).
 * ``kway`` — reference vs fast k-way refinement on a seeded graph.
 * ``reconfig`` / ``dp`` — cold vs warm content-cache runs of the Ch. 6
-  iterative partitioner and the Ch. 7 DP.
+  iterative partitioner and the Ch. 7 DP (the sub-millisecond ``dp``
+  runs are timed best of ``BEST_OF``).
 
 Guards: the MLGP engine alone must be >= 2x; the pipeline layer
 (engine + cache) must be >= 5x on the repeated sweep; warm cache runs
@@ -51,6 +52,10 @@ TABLE_5_1 = (
 #: Repetitions of the same-seed sweep in the pipeline-layer comparison.
 PIPELINE_REPS = 3
 
+#: Samples per engine and per cold/warm timing; the best one is kept, so
+#: a single preempted run on a shared host cannot move a guarded speedup.
+BEST_OF = 3
+
 
 def _region_work(name: str) -> list[tuple[object, tuple, int]]:
     """(dfg, region, seed) jobs for one benchmark's full region sweep."""
@@ -81,10 +86,14 @@ def _bench_mlgp_engine() -> dict:
     ref_total = fast_total = 0.0
     for name in TABLE_5_1:
         work = _region_work(name)
-        t_ref, ref_results = _sweep(work, "reference", use_cache=False)
-        mlgp_fast._CTX_CACHE.clear()  # cold context, engine pays full setup
-        t_fast, fast_results = _sweep(work, "fast", use_cache=False)
-        assert ref_results == fast_results, f"engines diverged on {name}"
+        t_ref = t_fast = float("inf")
+        for _rep in range(BEST_OF):
+            t, ref_results = _sweep(work, "reference", use_cache=False)
+            t_ref = min(t_ref, t)
+            mlgp_fast._CTX_CACHE.clear()  # cold context: full setup paid
+            t, fast_results = _sweep(work, "fast", use_cache=False)
+            t_fast = min(t_fast, t)
+            assert ref_results == fast_results, f"engines diverged on {name}"
         ref_total += t_ref
         fast_total += t_fast
         per_benchmark[name] = {
@@ -182,14 +191,16 @@ def _bench_reconfig_warm() -> dict:
 
 def _bench_dp_warm() -> dict:
     tasks = synthetic_reconfig_tasks(16, seed=5)
-    cache.clear()
-    t0 = time.perf_counter()
-    cold = dp_solution(tasks, 2000.0, 5000.0)
-    cold_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    warm = dp_solution(tasks, 2000.0, 5000.0)
-    warm_s = time.perf_counter() - t0
-    assert cold.solution == warm.solution
+    cold_s = warm_s = float("inf")
+    for _rep in range(BEST_OF):
+        cache.clear()
+        t0 = time.perf_counter()
+        cold = dp_solution(tasks, 2000.0, 5000.0)
+        cold_s = min(cold_s, time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        warm = dp_solution(tasks, 2000.0, 5000.0)
+        warm_s = min(warm_s, time.perf_counter() - t0)
+        assert cold.solution == warm.solution
     return {
         "workload": "synthetic_16_tasks",
         "cold_seconds": round(cold_s, 4),

@@ -96,6 +96,7 @@ class DataFlowGraph:
         self._preds: list[list[int]] = []
         self._succs: list[list[int]] = []
         self._masks: DFGMasks | None = None
+        self._sw_cycles: int | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -145,6 +146,7 @@ class DataFlowGraph:
         for p in preds:
             self._succs[p].append(node_id)
         self._masks = None
+        self._sw_cycles = None
         return node_id
 
     def set_live_out(self, node: int, live_out: bool = True) -> None:
@@ -205,8 +207,11 @@ class DataFlowGraph:
         return g
 
     def sw_cycles(self) -> int:
-        """Total software latency of the block on the base processor."""
-        return sum(op_info(n.op).sw_cycles for n in self._nodes)
+        """Total software latency of the block on the base processor
+        (cached until the next :meth:`add_op`)."""
+        if self._sw_cycles is None:
+            self._sw_cycles = sum(op_info(n.op).sw_cycles for n in self._nodes)
+        return self._sw_cycles
 
     def bitset_masks(self) -> DFGMasks:
         """Precomputed bitmask views of the graph (cached until mutation).

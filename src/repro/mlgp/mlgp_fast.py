@@ -6,25 +6,40 @@ produced partitions are *bit-identical* to the reference oracle under any
 seed (asserted by ``tests/test_partitioning_differential.py``).  What
 changes is the data representation and the bookkeeping cost:
 
-* **node sets are int bitsets** — a coarse vertex's projection onto the
-  original DFG is one Python int (bit ``n`` = node ``n``), so set algebra
-  (union, difference, membership) is single word-vector operations
-  instead of ``frozenset`` traffic;
+* **node sets are int bitsets in a region-local index** — a coarse
+  vertex's projection onto the original DFG is one Python int, so set
+  algebra (union, difference, membership) is single word-vector
+  operations instead of ``frozenset`` traffic.  Bit ``i`` is the
+  ``i``-th node, in ascending global id, of the region ``R`` plus its
+  outside predecessors ``P`` (a producer shared by several members is
+  one input) plus the outside nodes ``B`` lying between two region nodes
+  (a path through an invalid node breaks convexity).  Every subgraph
+  MLGP builds lies in ``R``, so no other node can change an answer, and
+  masks are as wide as the region's neighbourhood rather than the whole
+  block.  The relabel preserves order, so every summation order, bit
+  walk and tie-break is the global one;
 * **memoized projection tables** — feasibility, I/O counts and
   (gain, area) cost projections are cached per bitset for the whole run,
   so the refinement loop's repeated re-evaluation of the same candidate
   subgraphs (across passes *and* uncoarsening levels) collapses to dict
   lookups;
+* **repair-pool pre-check** — each infeasible move candidate
+  ``dest | v`` records the nodes a first repair could pull in; a move
+  whose source partition holds none of them is rejected without entering
+  :func:`_try_move`, which would have rejected it with zero repairs;
 * **incremental partition bookkeeping** — each partition's projected node
   bitset and each vertex's foreign-neighbour count are maintained under
   :meth:`_FastPartition.move` in O(moved vertices · degree), so
   ``boundary_vertices``/``stats`` no longer rescan the whole level.
 
 Feasibility itself is evaluated in O(|S|) word operations from the
-precomputed :class:`~repro.graphs.dfg.DFGMasks`:
+per-region tables, built once per region from the DFG's
+:class:`~repro.graphs.dfg.DFGMasks`:
 
 * inputs  = ``popcount(union of member preds & ~S)`` + live-in operands;
-* outputs = members with a live-out value or a successor outside ``S``;
+* outputs = members with a live-out value or a successor outside ``S``
+  (a region node with a successor outside ``R`` is folded into the local
+  live-out set: it is an output of every subgraph MLGP builds);
 * convexity — ``S`` is convex iff no node outside ``S`` is both a
   descendant of a member and an ancestor of a member:
   ``(U_desc & U_anc) & ~S == 0``.
@@ -54,31 +69,92 @@ def _bits(mask: int) -> list[int]:
 
 
 class _Ctx:
-    """Per-run projection tables shared across levels and passes."""
+    """Per-region projection tables in a compact local bit space.
+
+    Bit ``i`` of every mask here is local node ``i``; ``nodes[i]`` is its
+    global DFG id and ``region_pos`` holds the local index of each region
+    node, in region order.  The local index lists, in ascending global
+    order, the region ``R``, its outside predecessors ``P`` (so a producer
+    shared by several members is one input) and the outside nodes ``B``
+    that lie between two region nodes (so a path through an invalid node
+    still breaks convexity).  Every subgraph MLGP evaluates is a subset of
+    ``R``, so nothing else can change an answer.
+    """
 
     def __init__(
         self,
         dfg: DataFlowGraph,
+        region: Sequence[int],
         max_inputs: int,
         max_outputs: int,
         model: HardwareCostModel,
     ) -> None:
         masks = dfg.bitset_masks()
         self.masks = masks
-        self.pred = masks.pred
-        self.succ = masks.succ
-        self.anc = masks.anc
-        self.desc = masks.desc
-        self.valid = masks.valid
-        self.live_out = masks.live_out
-        self.ext_in = masks.external_inputs
+        gpred = masks.pred
+        gsucc = masks.succ
+        region_g = 0
+        for n in region:
+            region_g |= 1 << n
+        predu = ancu = descu = 0
+        for n in region:
+            predu |= gpred[n]
+            ancu |= masks.anc[n]
+            descu |= masks.desc[n]
+        # Ascending global ids, so every bit-order walk (sums, _bits, tie
+        # breaks) visits nodes exactly as the global masks would.
+        nodes = _bits(region_g | ((predu | (ancu & descu)) & ~region_g))
+        self.nodes = nodes
+        pos = {g: i for i, g in enumerate(nodes)}
+        self.region_pos = [pos[g] for g in region]
+        k = len(nodes)
+        # Original predecessor lists (insertion order, global ids), so the
+        # cost model sees exactly the same structures as the reference.
+        self.preds_list = [dfg.preds(g) for g in nodes]
+        pred = [0] * k
+        succ = [0] * k
+        anc = [0] * k
+        for i, preds in enumerate(self.preds_list):
+            pm = 0
+            am = 0
+            for p in preds:
+                j = pos.get(p)
+                if j is not None:
+                    pm |= 1 << j
+                    am |= anc[j] | (1 << j)
+                    succ[j] |= 1 << i
+            pred[i] = pm
+            anc[i] = am  # ascending ids are topological, anc[j] is final
+        desc = [0] * k
+        for i in range(k - 1, -1, -1):
+            dm = 0
+            sm = succ[i]
+            while sm:
+                low = sm & -sm
+                sm ^= low
+                dm |= desc[low.bit_length() - 1] | low
+            desc[i] = dm
+        valid = 0
+        live_out = 0
+        for g in region:
+            bit = 1 << pos[g]
+            if (masks.valid >> g) & 1:
+                valid |= bit
+            # A successor outside R is outside every subgraph MLGP builds,
+            # so the node is always an output: fold it into live_out.
+            if (masks.live_out >> g) & 1 or gsucc[g] & ~region_g:
+                live_out |= bit
+        self.pred = pred
+        self.succ = succ
+        self.anc = anc
+        self.desc = desc
+        self.valid = valid
+        self.live_out = live_out
+        self.ext_in = [masks.external_inputs[g] for g in nodes]
         self.max_inputs = max_inputs
         self.max_outputs = max_outputs
         self.model = model
-        # Original predecessor lists (insertion order), so the cost model
-        # sees exactly the same structures as the reference engine.
-        self.preds_list = [dfg.preds(n) for n in dfg.nodes]
-        self.ops = [dfg.op(n) for n in dfg.nodes]
+        self.ops = [dfg.op(g) for g in nodes]
         # Per-node cost primitives for the inlined evaluation.  A model
         # subclass may override subgraph_cost, so only a plain
         # HardwareCostModel is evaluated inline.
@@ -102,6 +178,12 @@ class _Ctx:
         # mask-only — so their outcomes transfer across levels and runs.
         # Value: ratio improvement, or None for a rejected move.
         self.eval_memo: dict[tuple[int, int, int], float | None] = {}
+        # Infeasible move candidate (destination | moving vertex) -> the
+        # nodes a first repair could pull in: its external predecessors
+        # if inputs overflow, else its external successors, 0 for a
+        # convexity violation.  A move whose source holds none of them is
+        # rejected without a repair, before entering _try_move.
+        self.pool_memo: dict[int, int] = {}
         # Local counters, flushed once per run by the caller.
         self.moves = 0
         self.repairs = 0
@@ -287,12 +369,14 @@ class _Ctx:
             gain = float(sw - self.model.hw_cycles(longest)) if count > 1 else 0.0
             r = (gain, area)
         else:
-            nodes = _bits(m)
+            local = _bits(m)
+            nodes = [self.nodes[i] for i in local]
+            members = set(nodes)
             preds = {
-                n: [p for p in self.preds_list[n] if (m >> p) & 1]
-                for n in nodes
+                g: [p for p in self.preds_list[i] if p in members]
+                for i, g in zip(local, nodes)
             }
-            ops = {n: self.ops[n] for n in nodes}
+            ops = {g: self.ops[i] for i, g in zip(local, nodes)}
             cost = self.model.subgraph_cost(nodes, preds, ops)
             gain = float(cost.gain) if len(nodes) > 1 else 0.0
             r = (gain, cost.area)
@@ -313,12 +397,11 @@ class _Ctx:
         return r
 
 
-# Contexts (per-node tables + projection memos) are pure functions of the
-# DFG structure and the (constraints, model) pair, so they are shared
-# across calls: the flow re-partitions the same DFG's regions many times
-# (different seeds, different iterations) and every run then reuses the
-# accumulated feasibility/cost tables.  A masks-identity check guards
-# against DFG mutation (mutators drop the cached DFGMasks object).
+# Contexts are pure functions of the DFG structure, the region and the
+# (constraints, model) pair, so they are shared across calls: the flow
+# re-partitions the same regions under different seeds and every run then
+# reuses the accumulated feasibility/cost tables.  A masks-identity check
+# guards against DFG mutation (mutators drop the cached DFGMasks object).
 _CTX_CACHE: "weakref.WeakKeyDictionary[DataFlowGraph, dict]" = (
     weakref.WeakKeyDictionary()
 )
@@ -326,6 +409,7 @@ _CTX_CACHE: "weakref.WeakKeyDictionary[DataFlowGraph, dict]" = (
 
 def _get_ctx(
     dfg: DataFlowGraph,
+    region: Sequence[int],
     max_inputs: int,
     max_outputs: int,
     model: HardwareCostModel,
@@ -333,15 +417,15 @@ def _get_ctx(
     if type(model) is not HardwareCostModel:
         # Subclasses may close over arbitrary state; memos keyed on the
         # object would go stale silently, so build a fresh context.
-        return _Ctx(dfg, max_inputs, max_outputs, model)
+        return _Ctx(dfg, region, max_inputs, max_outputs, model)
     per = _CTX_CACHE.get(dfg)
     if per is None:
         per = {}
         _CTX_CACHE[dfg] = per
-    key = (max_inputs, max_outputs, model.cycle_delay)
+    key = (tuple(region), max_inputs, max_outputs, model.cycle_delay)
     ctx = per.get(key)
     if ctx is None or ctx.masks is not dfg.bitset_masks():
-        ctx = _Ctx(dfg, max_inputs, max_outputs, model)
+        ctx = _Ctx(dfg, region, max_inputs, max_outputs, model)
         per[key] = ctx
     return ctx
 
@@ -368,19 +452,17 @@ class _Level:
         self.parent: list[int] = []
 
 
-def _build_level0(region: Sequence[int], ctx: _Ctx) -> _Level:
-    region_mask = 0
-    for n in region:
-        region_mask |= 1 << n
-    index = {n: i for i, n in enumerate(region)}
-    vertices = [1 << n for n in region]
-    adj: list[set[int]] = [set() for _ in region]
-    for n in region:
-        for p in ctx.preds_list[n]:
-            if (region_mask >> p) & 1:
-                adj[index[n]].add(index[p])
-                adj[index[p]].add(index[n])
-    return _Level(vertices, [tuple(sorted(s)) for s in adj])
+def _build_level0(ctx: _Ctx) -> _Level:
+    slots = ctx.region_pos
+    vertex_of = {i: vi for vi, i in enumerate(slots)}
+    adj: list[set[int]] = [set() for _ in slots]
+    for vi, i in enumerate(slots):
+        for j in _bits(ctx.pred[i]):
+            pj = vertex_of.get(j)
+            if pj is not None:
+                adj[vi].add(pj)
+                adj[pj].add(vi)
+    return _Level([1 << i for i in slots], [tuple(sorted(s)) for s in adj])
 
 
 def _coarsen(level: _Level, rng: random.Random, ctx: _Ctx) -> _Level | None:
@@ -532,9 +614,10 @@ def _try_move(
 ) -> tuple[float, list[int]] | None:
     """Bitset mirror of the reference move evaluation (Algorithm 5).
 
-    Callers (``_refine``) have already consulted both memo layers, so
-    this always evaluates; it stores the outcome under *memo_key*
-    (per-level memo) and, when repair-free, under *ekey* (ctx memo).
+    Callers (``_refine``) have already consulted the memo layers and
+    the repair-pool pre-check, so this always evaluates; it stores the
+    outcome under *memo_key* (per-level memo) and, when repair-free and
+    not replayed by the pre-check, under *ekey* (ctx memo).
     """
     ctx = state.ctx
     moving = [v]
@@ -552,44 +635,44 @@ def _try_move(
             break
         r = ctx._io_memo.get(candidate)
         inputs, outputs = r if r is not None else ctx.io(candidate)
-        # Pool of repair nodes, weighted by connecting-edge count so the
-        # most-connected vertex is absorbed first (as in the reference,
-        # which appends one pool entry per edge).  Rather than walking
-        # every member's adjacency, scan only the external boundary
-        # *restricted to the source partition* — only vertices still in
-        # the source may be pulled in, already-moving vertices lie inside
-        # the candidate, and any other producer/consumer is filtered by
-        # the mask intersection before a single dict lookup happens.  An
-        # outside producer p contributes popcount(succ[p] & candidate)
-        # edges, an outside consumer s popcount(pred[s] & candidate).
+        # Pool of repair nodes: the candidate's outside producers when
+        # inputs overflow, else its outside consumers; none for a
+        # convexity violation (a single-vertex repair will not fix it).
+        if inputs > ctx.max_inputs:
+            pool = ctx.comp(candidate)[1] & ~candidate
+            edges_of = ctx.succ
+        elif outputs > ctx.max_outputs:
+            pool = ctx.comp(candidate)[2] & ~candidate
+            edges_of = ctx.pred
+        else:
+            pool = 0
+        if not repairs:
+            ctx.pool_memo[candidate] = pool
+        # Only vertices still in the source partition may be pulled in
+        # (already-moving vertices lie inside the candidate).  Each is
+        # weighted by its connecting-edge count so the most-connected
+        # vertex is absorbed first (as in the reference, which appends one
+        # pool entry per edge): an outside producer p contributes
+        # popcount(succ[p] & candidate) edges, a consumer s
+        # popcount(pred[s] & candidate).
+        ext = pool & src_mask
+        if not ext:
+            # No repair can fix it.  The pool pre-check in _refine replays
+            # this rejection, so the ctx-wide eval memo need not keep it.
+            ctx.repairs += repairs
+            state.try_memo[memo_key] = (None, None, repairs)
+            return None
         counts: dict[int, int] = {}
         table = state._vertex_of_node
         if table is None:
             table = state.vertex_of_node
-        if inputs > ctx.max_inputs:
-            ext = ctx.comp(candidate)[1] & ~candidate & src_mask
-            while ext:
-                low = ext & -ext
-                p = low.bit_length() - 1
-                ext ^= low
-                u = table[p]
-                edges = (ctx.succ[p] & candidate).bit_count()
-                counts[u] = counts.get(u, 0) + edges
-        elif outputs > ctx.max_outputs:
-            ext = ctx.comp(candidate)[2] & ~candidate & src_mask
-            while ext:
-                low = ext & -ext
-                s = low.bit_length() - 1
-                ext ^= low
-                u = table[s]
-                edges = (ctx.pred[s] & candidate).bit_count()
-                counts[u] = counts.get(u, 0) + edges
-        else:
-            break  # convexity violation: single-vertex repair will not fix it
-        if not counts:
-            ctx.repairs += repairs
-            state.try_memo[memo_key] = (None, None, repairs)
-            return None
+        while ext:
+            low = ext & -ext
+            x = low.bit_length() - 1
+            ext ^= low
+            u = table[x]
+            edges = (edges_of[x] & candidate).bit_count()
+            counts[u] = counts.get(u, 0) + edges
         u = max(counts, key=lambda k: (counts[k], -k))
         moving.append(u)
         umask = state.level.vertices[u]
@@ -653,6 +736,7 @@ def _refine(
     ctx = state.ctx
     try_memo = state.try_memo
     eval_memo = ctx.eval_memo
+    pool_memo = ctx.pool_memo
     part_mask = state.part_mask
     version = state.version
     assign = state.assign
@@ -671,8 +755,9 @@ def _refine(
             vmask = vertices[v]
             for dest in sorted(neighbor_parts):
                 # Inlined memo-hit paths: per-level memo first (knows
-                # repaired moves), then the ctx-wide repair-free memo, so
-                # repeat visits across passes/levels skip _try_move.
+                # repaired moves), then the repair-pool pre-check, then
+                # the ctx-wide repair-free memo, so repeat visits across
+                # passes/levels skip _try_move.
                 memo_key = (v, dest, version[dest], p, pver)
                 hit = try_memo.get(memo_key)
                 if hit is not None:
@@ -686,6 +771,9 @@ def _refine(
                     )
                 else:
                     dmask = part_mask[dest]
+                    pool = pool_memo.get(dmask | vmask)
+                    if pool is not None and not pool & src_mask:
+                        continue
                     ekey = (vmask, dmask, src_mask)
                     ehit = eval_memo.get(ekey, _MISS)
                     if ehit is not _MISS:
@@ -724,11 +812,11 @@ def run_fast_mlgp(
     *counters* carries the local ``moves``/``repairs`` totals for a single
     flush into the metrics registry.
     """
-    ctx = _get_ctx(dfg, max_inputs, max_outputs, model)
+    ctx = _get_ctx(dfg, region, max_inputs, max_outputs, model)
     ctx.moves = 0
     ctx.repairs = 0
     rng = random.Random(seed)
-    levels: list[_Level] = [_build_level0(region, ctx)]
+    levels: list[_Level] = [_build_level0(ctx)]
     while True:
         coarser = _coarsen(levels[-1], rng, ctx)
         if coarser is None:
@@ -758,7 +846,7 @@ def run_fast_mlgp(
         gain, area, feasible = ctx.stats(mask)
         if not feasible:
             continue
-        partitions.append(frozenset(_bits(mask)))
+        partitions.append(frozenset(ctx.nodes[i] for i in _bits(mask)))
         gains.append(gain)
         areas.append(area)
     counters = {"moves": ctx.moves, "repairs": ctx.repairs}

@@ -13,6 +13,7 @@ synthetic models exercise identical code paths.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -140,14 +141,6 @@ def seed_for(name: str, salt: int = 0) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _weighted_choice(
-    rng: random.Random, mix: Mapping[Opcode, float]
-) -> Opcode:
-    ops = list(mix)
-    weights = [mix[o] for o in ops]
-    return rng.choices(ops, weights=weights, k=1)[0]
-
-
 def synth_dfg(
     rng: random.Random,
     n_ops: int,
@@ -171,8 +164,12 @@ def synth_dfg(
     """
     dfg = DataFlowGraph(name=name)
     producers: list[int] = []  # nodes that yield a register value
+    # Cumulative weights built once per call: the same floats (and so the
+    # same RNG stream) random.choices derives from ``weights=`` per draw.
+    ops = list(mix)
+    cum_weights = list(itertools.accumulate(mix[o] for o in ops))
     for _ in range(n_ops):
-        op = _weighted_choice(rng, mix)
+        op = rng.choices(ops, cum_weights=cum_weights, k=1)[0]
         arity = op_info(op).arity
         preds: list[int] = []
         if producers:

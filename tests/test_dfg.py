@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graphs.dfg import DataFlowGraph
-from repro.isa.opcodes import Opcode
+from repro.isa.opcodes import Opcode, op_info
 from tests.conftest import random_small_dfg
 
 
@@ -49,6 +49,17 @@ class TestConstruction:
     def test_succs_mirror_preds(self, diamond_dfg):
         assert diamond_dfg.succs(0) == [1, 2]
         assert diamond_dfg.preds(3) == [1, 2]
+
+    def test_sw_cycles_follows_add_op(self):
+        """The cached total is dropped by add_op, not kept stale."""
+        dfg = DataFlowGraph()
+        n0 = dfg.add_op(Opcode.ADD)
+        before = dfg.sw_cycles()
+        dfg.add_op(Opcode.MUL, preds=[n0])
+        assert dfg.sw_cycles() == before + op_info(Opcode.MUL).sw_cycles
+        assert dfg.sw_cycles() == sum(
+            op_info(dfg.op(n)).sw_cycles for n in dfg.nodes
+        )
 
 
 class TestIOCount:

@@ -15,6 +15,9 @@ import random
 import pytest
 
 from repro import cache, obs
+from repro.graphs.dfg import DataFlowGraph
+from repro.isa.costmodel import HardwareCostModel
+from repro.isa.opcodes import Opcode
 from repro.mlgp.mlgp import mlgp_partition
 from repro.mtreconfig.dp import dp_solution
 from repro.mtreconfig.model import ReconfigTask, TaskVersion
@@ -86,6 +89,29 @@ class TestMlgpDifferential:
             return {k: v for k, v in snap.items() if k.startswith("mlgp.")}
 
         assert counters("fast") == counters("reference")
+
+    @pytest.mark.parametrize("seed", (0, 3, 29))
+    @pytest.mark.parametrize("ports", ((4, 2), (3, 1)))
+    def test_repair_counters_match_across_sources(self, seed, ports):
+        """A move rejected for want of repair nodes in one source partition
+        is still tried, and repaired, from another: the fast engine's
+        repair-pool pre-check must not change the repair tally."""
+        dfg = random_small_dfg(seed, n=18)
+        region = max(dfg.regions(), key=len)
+        mi, mo = ports
+
+        def counters(engine):
+            obs.reset()
+            mlgp_partition(
+                dfg, region, seed=seed, max_inputs=mi, max_outputs=mo,
+                engine=engine, use_cache=False,
+            )
+            snap = obs.metrics_snapshot()["counters"]
+            return {k: v for k, v in snap.items() if k.startswith("mlgp.")}
+
+        ref = counters("reference")
+        assert ref["mlgp.repairs"] > 0
+        assert counters("fast") == ref
 
     def test_seed_determinism(self):
         """Same seed -> same result; the seed is part of the cache key."""
@@ -238,3 +264,113 @@ class TestDpEdgeCases:
         assert cold.solution == warm.solution
         uncached = dp_solution(tasks, 2000.0, 5000.0, use_cache=False)
         assert uncached.solution == cold.solution
+
+
+class _RecordingModel(HardwareCostModel):
+    """Cost model subclass that records every subgraph it is asked about."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls: set[tuple] = set()
+
+    def subgraph_cost(self, nodes, preds, node_op):
+        self.calls.add(
+            (
+                tuple(nodes),
+                tuple((n, tuple(preds[n])) for n in nodes),
+                tuple(node_op[n] for n in nodes),
+            )
+        )
+        return super().subgraph_cost(nodes, preds, node_op)
+
+
+class TestMlgpRegionLocalIndex:
+    """Hand-built regions whose answer depends on nodes outside the region:
+    the fast engine's compact per-region bit space must keep them."""
+
+    def test_path_through_outside_nodes_breaks_convexity(self):
+        # a -> LOAD -> LOAD -> b joins a and b only outside the region
+        # (the first LOAD is no region node's predecessor); a -> c <- b
+        # keeps the region connected.
+        dfg = DataFlowGraph()
+        a = dfg.add_op(Opcode.ADD)
+        l1 = dfg.add_op(Opcode.LOAD, preds=[a])
+        l2 = dfg.add_op(Opcode.LOAD, preds=[l1])
+        b = dfg.add_op(Opcode.ADD, preds=[l2])
+        c = dfg.add_op(Opcode.ADD, preds=[a, b])
+        for seed in range(4):
+            ref, fast = _mlgp_pair(dfg, [a, b, c], seed)
+            assert (ref.partitions, ref.gains, ref.areas) == (
+                fast.partitions,
+                fast.gains,
+                fast.areas,
+            )
+            assert not any({a, b} <= p for p in fast.partitions)
+
+    @pytest.mark.parametrize("max_inputs", (2, 3))
+    def test_shared_outside_predecessor_counted_once(self, max_inputs):
+        # x and y both read one LOAD: {x, y, z} has 1 + 1 + 1 = 3 inputs,
+        # so it fits 3 ports but not 2 (4 if the shared producer were
+        # counted twice, 2 if it were not counted).
+        dfg = DataFlowGraph()
+        p = dfg.add_op(Opcode.LOAD)
+        x = dfg.add_op(Opcode.ADD, preds=[p])
+        y = dfg.add_op(Opcode.ADD, preds=[p])
+        z = dfg.add_op(Opcode.ADD, preds=[x, y])
+        ref, fast = _mlgp_pair(dfg, [x, y, z], 0, max_inputs=max_inputs)
+        assert (ref.partitions, ref.gains, ref.areas) == (
+            fast.partitions,
+            fast.gains,
+            fast.areas,
+        )
+        whole = frozenset({x, y, z})
+        assert (whole in fast.partitions) == (max_inputs == 3)
+
+    def test_only_successor_outside_is_an_output(self):
+        # r2 and r3 each feed only a STORE outside the region, so the
+        # whole region has two outputs and breaks max_outputs=1.
+        dfg = DataFlowGraph()
+        r1 = dfg.add_op(Opcode.ADD)
+        r2 = dfg.add_op(Opcode.SHL, preds=[r1])
+        r3 = dfg.add_op(Opcode.SHR, preds=[r1])
+        dfg.add_op(Opcode.STORE, preds=[r2])
+        dfg.add_op(Opcode.STORE, preds=[r3])
+        region = [r1, r2, r3]
+        for seed in range(4):
+            ref, fast = _mlgp_pair(dfg, region, seed, max_outputs=1)
+            assert (ref.partitions, ref.gains, ref.areas) == (
+                fast.partitions,
+                fast.gains,
+                fast.areas,
+            )
+            assert frozenset(region) not in fast.partitions
+            for part in fast.partitions:
+                assert dfg.io_count(part).outputs <= 1
+
+    def test_cost_model_subclass_sees_global_ids(self):
+        # Out-of-region nodes first, so local and global ids differ.
+        dfg = DataFlowGraph()
+        l0 = dfg.add_op(Opcode.LOAD)
+        l1 = dfg.add_op(Opcode.LOAD)
+        n2 = dfg.add_op(Opcode.ADD, preds=[l0, l1])
+        n3 = dfg.add_op(Opcode.MUL, preds=[n2, l1])
+        n4 = dfg.add_op(Opcode.XOR, preds=[n3])
+        dfg.add_op(Opcode.STORE, preds=[n4, l0])
+        n6 = dfg.add_op(Opcode.SUB, preds=[n3, n4])
+        region = [n2, n3, n4, n6]
+        models = {eng: _RecordingModel() for eng in ("reference", "fast")}
+        results = {
+            eng: mlgp_partition(
+                dfg, region, seed=1, model=m, engine=eng, use_cache=False
+            )
+            for eng, m in models.items()
+        }
+        ref, fast = results["reference"], results["fast"]
+        assert (ref.partitions, ref.gains, ref.areas) == (
+            fast.partitions,
+            fast.gains,
+            fast.areas,
+        )
+        assert models["fast"].calls == models["reference"].calls
+        seen = {n for call in models["fast"].calls for n in call[0]}
+        assert seen == set(region)

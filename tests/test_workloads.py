@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import cache
 from repro.errors import WorkloadError
 from repro.workloads import (
     BENCHMARKS,
@@ -72,6 +73,34 @@ class TestBenchmarks:
         assert a.wcet() != b.wcet() or [len(x.dfg) for x in a.basic_blocks] != [
             len(x.dfg) for x in b.basic_blocks
         ]
+
+    #: ``cache.program_fingerprint`` of every Table 5.2 program at two
+    #: salts.  Any drift in the generator's RNG stream changes them.
+    PINNED_FINGERPRINTS = {
+        (0, "3des"): "b3e3e7865f05a9dc89b2ce7b95cd623443d2306da68e9740008985c70b3e3a80",
+        (0, "adpcm"): "eb2990649a9bc79ec8c5f852785c65c01d4c5b1c9c857c77132f11cf7d749f31",
+        (0, "aes"): "f48e2c9e4030746420d1f11ef789f534d66d6add676dcdccd5bda94118950e73",
+        (0, "g721decode"): "e945d6e3fa5640f484f855daffe6a7e0237f7bad98e8daf79eaac3b2cb26e830",
+        (0, "jfdctint"): "860514a4abd87b4f004c9fba2b9eeebff7799bc0da62e58530c3d3af05654e89",
+        (0, "ndes"): "070a5240d642b4b085d33bbcaa32d5174f30aeb139c27e9262357acb28001534",
+        (0, "rijndael"): "2f17e03269838c2a335264a7c6565ae9a5656252d3fec3a6e9dd41492e316848",
+        (0, "sha"): "f01e84c03d12b412b570b0e0384a0dbbd8624af27f602f7f8524d0967c85e548",
+        (7, "3des"): "479af3a75460e0776babf724d8515c921877fab1a68d86017f2f76d011d50711",
+        (7, "adpcm"): "be49cbe217f0a604fc77d06e7a338c6565b30f1bba07fa49d54088088ec8a2fb",
+        (7, "aes"): "2f593f8d2fd1be602f083dee4fb83042bfdace7b992ec6cbe9a365b7191a203c",
+        (7, "g721decode"): "9c7c385e52c4073e03f86c5db64f4aa12bd078aac345ae2933d8bc4b3e440947",
+        (7, "jfdctint"): "1e9e712770790dcad704db1becf1f96bd3d79d5162968dce229644f3e0c2008f",
+        (7, "ndes"): "d9b90d57ab70b359bbaa95a2299dbd6f0e2e797e726c0ef21ded91637abe4d7d",
+        (7, "rijndael"): "429f22de471cf9749faa9756dba5f54ddca00e788b4c40fc84c32f66c96d2d2b",
+        (7, "sha"): "6233ae3c15353e7a8e13ab1b28ccc459ea41bce8dee68009d890bcbf0ea6f3dd",
+    }
+
+    def test_table_5_2_programs_pinned(self):
+        names = {n for s in CH5_TASK_SETS.values() for n in s}
+        assert {n for _salt, n in self.PINNED_FINGERPRINTS} == names
+        for (salt, name), digest in self.PINNED_FINGERPRINTS.items():
+            program = synth_program(get_spec(name), salt=salt)
+            assert cache.program_fingerprint(program) == digest, (salt, name)
 
     def test_seed_for_stable(self):
         assert seed_for("x") == seed_for("x")
