@@ -163,6 +163,25 @@ def _disabled_span_ns(iterations: int = 200_000) -> float:
     return (time.perf_counter() - t0) / iterations * 1e9
 
 
+def _enabled_span_ns(iterations: int = 20_000) -> float:
+    """Average per-call cost of :func:`repro.obs.span` with tracing on
+    (entry, exit and the append of its record to the trace buffer)."""
+    assert not obs.tracing_enabled()
+    span = obs.span
+    obs.clear_trace()
+    obs.enable_tracing()
+    try:
+        t0 = time.perf_counter()
+        for _ in range(iterations):
+            with span("overhead-probe"):
+                pass
+        elapsed = time.perf_counter() - t0
+    finally:
+        obs.disable_tracing()
+        obs.clear_trace()
+    return elapsed / iterations * 1e9
+
+
 def test_obs_disabled_overhead_guard():
     """Disabled tracing must be a near-free no-op on the hot path.
 
@@ -173,6 +192,17 @@ def test_obs_disabled_overhead_guard():
     assert obs.span("a") is obs.span("b"), "disabled span must be a shared singleton"
     per_call_ns = _disabled_span_ns()
     assert per_call_ns < 5_000, f"disabled span costs {per_call_ns:.0f}ns/call"
+
+
+def test_obs_enabled_overhead_guard():
+    """A recorded span must stay cheap enough to trace a whole run.
+
+    The 50 µs ceiling is ~14x the observed cost (~3.5 µs on a 2-CPU
+    x86_64 host), so only a broken record or append path (e.g. work
+    proportional to the buffer length) trips it.
+    """
+    per_call_ns = _enabled_span_ns()
+    assert per_call_ns < 50_000, f"enabled span costs {per_call_ns:.0f}ns/call"
 
 
 def test_identification_pipeline_speed(benchmark):
@@ -224,6 +254,7 @@ def test_identification_pipeline_speed(benchmark):
         },
         "obs": {
             "disabled_span_ns": round(_disabled_span_ns(20_000), 1),
+            "enabled_span_ns": round(_enabled_span_ns(), 1),
         },
     }
     emit_json("BENCH_identification", payload)

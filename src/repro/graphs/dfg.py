@@ -24,11 +24,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.errors import GraphError
 from repro.isa.opcodes import Opcode, is_valid_op, op_info
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["DataFlowGraph", "DFGMasks", "IOCount", "induced_structural_key"]
 
@@ -199,6 +201,8 @@ class DataFlowGraph:
 
     def to_networkx(self) -> nx.DiGraph:
         """The dependence graph as a networkx DiGraph (node ids preserved)."""
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_nodes_from(self.nodes)
         for n in self.nodes:

@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.enumeration.patterns import Candidate, CandidateLibrary
 from repro.errors import SolverError
@@ -48,6 +47,10 @@ def select_ilp(
     Raises:
         SolverError: if the MILP backend reports failure.
     """
+    # scipy is imported here, not at module level: it costs ~0.6 s and
+    # nothing else on the package's import path needs it.
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     n = len(candidates)
     if n == 0:
         return []

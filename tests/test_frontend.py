@@ -10,7 +10,7 @@ ingested programs.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, OrderedDict
 
 import pytest
 from hypothesis import given, settings
@@ -519,6 +519,39 @@ class TestRegistry:
         second = get_program(str(path))
         assert cache.program_fingerprint(first) != cache.program_fingerprint(
             second
+        )
+
+    @staticmethod
+    def _program_files(tmp_path, n):
+        from repro.io import save_json
+
+        data = program_to_dict(ingest_source("def f(a):\n    return a + 1\n"))
+        paths = [str(tmp_path / f"p{i}.json") for i in range(n)]
+        for path in paths:
+            save_json(data, path)
+        return paths
+
+    def test_file_cache_is_bounded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(registry, "_file_cache", OrderedDict())
+        bound = registry.FILE_CACHE_SIZE
+        paths = self._program_files(tmp_path, bound + 1)
+        for path in paths:
+            get_program(path)
+        assert len(registry._file_cache) == bound
+        assert paths[0] not in registry._file_cache
+
+    def test_file_cache_evicts_least_recently_used(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(registry, "_file_cache", OrderedDict())
+        bound = registry.FILE_CACHE_SIZE
+        paths = self._program_files(tmp_path, bound + 1)
+        loaded = [get_program(path) for path in paths[:bound]]
+        assert get_program(paths[0]) is loaded[0]  # touch: now most recent
+        get_program(paths[bound])  # evicts paths[1], the least recent
+        assert get_program(paths[0]) is loaded[0]
+        reparsed = get_program(paths[1])
+        assert reparsed is not loaded[1]
+        assert cache.program_fingerprint(reparsed) == cache.program_fingerprint(
+            loaded[1]
         )
 
 
