@@ -9,7 +9,6 @@ writes ``benchmarks/results/BENCH_partitioning.json``:
 * ``mlgp.pipeline`` — the repeated same-seed sweep the ch5 generation
   pipeline performs, pre-PR stack (reference engine, no region cache)
   vs current stack (fast engine + content-keyed ``mlgp`` cache).
-* ``kway`` — reference vs fast k-way refinement on a seeded graph.
 * ``reconfig`` / ``dp`` — cold vs warm content-cache runs of the Ch. 6
   iterative partitioner and the Ch. 7 DP (the sub-millisecond ``dp``
   runs are timed best of ``BEST_OF``).
@@ -21,7 +20,6 @@ must beat cold ones.
 
 from __future__ import annotations
 
-import random
 import time
 
 from benchmarks.common import emit_json
@@ -32,7 +30,6 @@ from repro.mtreconfig.dp import dp_solution
 from repro.mtreconfig.workload import synthetic_reconfig_tasks
 from repro.reconfig.extract import extract_hot_loops
 from repro.reconfig.iterative import iterative_partition
-from repro.reconfig.kwaypart import kway_partition
 from repro.workloads import get_program
 
 #: The thesis Table 5.1 benchmark set (the MLGP evaluation workload).
@@ -141,36 +138,6 @@ def _bench_mlgp_pipeline() -> dict:
     }
 
 
-def _bench_kway() -> dict:
-    rng = random.Random(1500)
-    n, density = 1500, 0.006
-    edges = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < density:
-                edges[(u, v)] = rng.uniform(0.5, 10.0)
-    for u in range(n - 1):
-        edges.setdefault((u, u + 1), rng.uniform(0.5, 5.0))
-    weights = [rng.uniform(0.5, 4.0) for _ in range(n)]
-    best_ref = best_fast = float("inf")
-    for _rep in range(3):
-        t0 = time.perf_counter()
-        ref = kway_partition(n, edges, weights, k=8, seed=1,
-                             engine="reference")
-        best_ref = min(best_ref, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        fast = kway_partition(n, edges, weights, k=8, seed=1, engine="fast")
-        best_fast = min(best_fast, time.perf_counter() - t0)
-        assert ref == fast, "k-way engines diverged"
-    return {
-        "workload": f"random_graph_n{n}_k8",
-        "edges": len(edges),
-        "reference_seconds": round(best_ref, 4),
-        "fast_seconds": round(best_fast, 4),
-        "speedup": round(best_ref / best_fast, 2),
-    }
-
-
 def _bench_reconfig_warm() -> dict:
     ex = extract_hot_loops(get_program("3des"))
     cache.clear()
@@ -213,19 +180,16 @@ def test_partitioning_speed_trajectory():
     """End-to-end partitioning perf snapshot with correctness asserts."""
     engine = _bench_mlgp_engine()
     pipeline = _bench_mlgp_pipeline()
-    kway = _bench_kway()
     reconfig = _bench_reconfig_warm()
     dp = _bench_dp_warm()
 
     payload = {
         "mlgp": {"engine": engine, "pipeline": pipeline},
-        "kway": kway,
         "reconfig": reconfig,
         "dp": dp,
         "speedups": {
             "mlgp_engine": engine["speedup"],
             "mlgp_pipeline": pipeline["speedup"],
-            "kway_engine": kway["speedup"],
             "reconfig_warm_cache": reconfig["speedup"],
             "dp_warm_cache": dp["speedup"],
         },
@@ -240,6 +204,5 @@ def test_partitioning_speed_trajectory():
         f"partitioning pipeline only {pipeline['speedup']}x vs the "
         "pre-PR stack (target: >= 5x)"
     )
-    assert kway["speedup"] > 1.0, "fast k-way slower than reference"
     assert reconfig["speedup"] > 1.0, "warm reconfig cache not faster"
     assert dp["speedup"] > 1.0, "warm dp cache not faster"

@@ -190,10 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--input", help="hot-loops JSON (default: JPEG case study)")
     p_rec.add_argument("--max-area", type=float, default=None)
     p_rec.add_argument("--rho", type=float, default=None)
-    p_rec.add_argument("--engine", dest="part_engine",
-                       choices=ENGINES, default="fast",
-                       help="k-way partitioner engine (bit-identical; "
-                            "default fast)")
     p_rec.add_argument("--seed", type=int, default=0,
                        help="k-way partitioner seed (default 0)")
     p_rec.add_argument("--workers", type=int, default=None,
@@ -637,8 +633,7 @@ def _cmd_reconfig(args: argparse.Namespace) -> int:
         max_area = args.max_area if args.max_area is not None else JPEG_MAX_AREA
         rho = args.rho if args.rho is not None else JPEG_RHO
     it = iterative_partition(
-        loops, trace, max_area, rho, seed=args.seed, workers=args.workers,
-        engine=args.part_engine,
+        loops, trace, max_area, rho, seed=args.seed, workers=args.workers
     )
     gr = greedy_partition(loops, trace, max_area, rho)
     print(format_table(

@@ -24,13 +24,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.errors import GraphError
 from repro.isa.opcodes import Opcode, is_valid_op, op_info
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 __all__ = ["DataFlowGraph", "DFGMasks", "IOCount", "induced_structural_key"]
 
@@ -198,17 +194,6 @@ class DataFlowGraph:
     def valid_nodes(self) -> list[int]:
         """All nodes whose opcode may appear in a custom instruction."""
         return [n for n in self.nodes if self.is_valid_node(n)]
-
-    def to_networkx(self) -> nx.DiGraph:
-        """The dependence graph as a networkx DiGraph (node ids preserved)."""
-        import networkx as nx
-
-        g = nx.DiGraph()
-        g.add_nodes_from(self.nodes)
-        for n in self.nodes:
-            for p in self._preds[n]:
-                g.add_edge(p, n)
-        return g
 
     def sw_cycles(self) -> int:
         """Total software latency of the block on the base processor

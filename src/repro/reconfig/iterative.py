@@ -27,7 +27,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro import cache, obs
-from repro.engines import check_engine
 from repro.errors import ReproError
 from repro.parallel import parallel_map
 from repro.reconfig.kwaypart import kway_partition
@@ -150,7 +149,6 @@ def _solutions_for_k(
     seed: int,
     prune: bool,
     k: int,
-    engine: str = "fast",
     use_cache: bool = True,
 ) -> list[PartitionSolution]:
     """Candidate solutions for one configuration count *k* (phases 1-3).
@@ -160,8 +158,7 @@ def _solutions_for_k(
     the lists for ascending ``k`` reproduces the sequential search.
 
     Per-k results are memoized behind a content key (loops + trace digest
-    + parameters); the key is engine-independent because the k-way engines
-    are bit-identical under a fixed seed.
+    + parameters).
     """
     key = None
     if use_cache:
@@ -187,9 +184,9 @@ def _solutions_for_k(
                 )
                 for c in cached
             ]
-    with obs.span("reconfig.k", k=k, loops=len(loops), engine=engine):
+    with obs.span("reconfig.k", k=k, loops=len(loops)):
         solutions = _solutions_for_k_body(
-            loops, trace, max_area, rho, seed, prune, k, engine
+            loops, trace, max_area, rho, seed, prune, k
         )
     if key is not None:
         cache.store_ksolutions(
@@ -215,7 +212,6 @@ def _solutions_for_k_body(
     seed: int,
     prune: bool,
     k: int,
-    engine: str,
 ) -> list[PartitionSolution]:
     n = len(loops)
     # Phase 1: global spatial partitioning over continuous area k*MaxA.
@@ -232,8 +228,7 @@ def _solutions_for_k_body(
         }
         weights = [loops[i].versions[selection[i]].area for i in hw]
         assign = kway_partition(
-            len(hw), edges, weights, k=min(k, len(hw)), seed=seed,
-            engine=engine,
+            len(hw), edges, weights, k=min(k, len(hw)), seed=seed
         )
         config_of = [0] * n
         for i, part_id in zip(hw, assign):
@@ -242,8 +237,7 @@ def _solutions_for_k_body(
     # Partition P': all loops, unit weights, selection ignored.
     rcg_all = build_rcg(trace, range(n))
     assign_all = kway_partition(
-        n, {k2: float(v) for k2, v in rcg_all.items()}, None, k=k, seed=seed,
-        engine=engine,
+        n, {k2: float(v) for k2, v in rcg_all.items()}, None, k=k, seed=seed
     )
     candidates.append(([0] * n, list(assign_all)))
 
@@ -284,15 +278,11 @@ def _k_job(
         int,
         bool,
         int,
-        str,
         bool,
     ],
 ) -> list[PartitionSolution]:
     """Module-level worker so per-k jobs can be pickled."""
-    loops, trace, max_area, rho, seed, prune, k, engine, use_cache = args
-    return _solutions_for_k(
-        loops, trace, max_area, rho, seed, prune, k, engine, use_cache
-    )
+    return _solutions_for_k(*args)
 
 
 def iterative_partition(
@@ -305,7 +295,6 @@ def iterative_partition(
     prune: bool = True,
     workers: int | None = None,
     use_cache: bool = True,
-    engine: str = "fast",
 ) -> PartitionSolution:
     """Run Algorithm 6 and return the best solution found.
 
@@ -326,13 +315,10 @@ def iterative_partition(
         use_cache: memoize the final result and every per-k candidate list
             behind content keys (loops + trace digest + parameters) in
             :mod:`repro.cache`.
-        engine: k-way partitioner engine (``"fast"`` or ``"reference"``);
-            engines are bit-identical, so cache keys do not include it.
 
     Returns:
         The best :class:`PartitionSolution`.
     """
-    check_engine(engine)
     n = len(loops)
     if n == 0:
         raise ReproError("need at least one hot loop")
@@ -361,11 +347,10 @@ def iterative_partition(
     limit = min(n, max_k) if max_k is not None else n
 
     jobs = [
-        (tuple(loops), tuple(trace), max_area, rho, seed, prune, k, engine,
-         use_cache)
+        (tuple(loops), tuple(trace), max_area, rho, seed, prune, k, use_cache)
         for k in range(1, limit + 1)
     ]
-    with obs.span("reconfig.partition", loops=n, max_k=limit, engine=engine):
+    with obs.span("reconfig.partition", loops=n, max_k=limit):
         if workers is not None and workers > 1 and limit > 1:
             per_k = parallel_map(
                 _k_job, jobs, workers, label="partition candidates"

@@ -20,7 +20,6 @@ import random
 from collections.abc import Mapping, Sequence
 
 from repro import obs
-from repro.engines import check_engine
 
 __all__ = ["kway_partition", "edge_cut"]
 
@@ -105,75 +104,6 @@ def _refine(
             break
 
 
-def _refine_fast(
-    n: int,
-    adj: list[dict[int, float]],
-    weights: list[float],
-    assign: list[int],
-    k: int,
-    max_part_weight: float,
-    rng: random.Random,
-    counters: dict[str, int],
-    passes: int = 4,
-) -> None:
-    """Incremental KL refinement, bit-identical to :func:`_refine`.
-
-    The speedup comes from skipping *clean* vertices.  A vertex is clean
-    once it has been evaluated without producing a move AND no candidate
-    destination with positive gain was rejected only by the part-weight
-    cap.  Its link dict (keyed by neighbour parts) cannot change until a
-    neighbour moves, gains do not depend on part weights, and no blocked
-    positive-gain destination exists that a weight shift could unlock —
-    so re-evaluating it is a provable no-op that draws no RNG.  Every
-    move dirties the mover and its neighbours.  For vertices that are
-    evaluated, the link dict is rebuilt in the same ``adj`` iteration
-    order as the reference, so every float accumulation is identical.
-    """
-    part_weight = [0.0] * k
-    for v in range(n):
-        part_weight[assign[v]] += weights[v]
-    clean = bytearray(n)
-    for _ in range(passes):
-        counters["kl_passes"] += 1
-        improved = False
-        order = list(range(n))
-        rng.shuffle(order)
-        for v in order:
-            if clean[v]:
-                continue
-            src = assign[v]
-            link: dict[int, float] = {}
-            for u, w in adj[v].items():
-                pu = assign[u]
-                link[pu] = link.get(pu, 0.0) + w
-            internal = link.get(src, 0.0)
-            wv = weights[v]
-            best_dest, best_gain = -1, 0.0
-            blocked = False
-            for dest, w in link.items():
-                if dest == src:
-                    continue
-                gain = w - internal
-                if part_weight[dest] + wv > max_part_weight:
-                    if gain > 1e-12:
-                        blocked = True
-                    continue
-                if gain > best_gain + 1e-12:
-                    best_dest, best_gain = dest, gain
-            if best_dest >= 0:
-                assign[v] = best_dest
-                part_weight[src] -= wv
-                part_weight[best_dest] += wv
-                improved = True
-                counters["moves"] += 1
-                for u in adj[v]:
-                    clean[u] = 0
-            elif not blocked:
-                clean[v] = 1
-        if not improved:
-            break
-
-
 def kway_partition(
     n: int,
     edges: Mapping[tuple[int, int], float],
@@ -181,7 +111,6 @@ def kway_partition(
     k: int = 2,
     imbalance: float = 0.3,
     seed: int = 0,
-    engine: str = "fast",
 ) -> list[int]:
     """Partition ``n`` vertices into ``k`` parts minimizing the edge-cut.
 
@@ -194,15 +123,11 @@ def kway_partition(
             (``max part weight <= (1+imbalance) x total / k``, floored at
             the largest single vertex).
         seed: RNG seed for matching/refinement order.
-        engine: ``"fast"`` (incremental KL with clean-vertex skipping)
-            or ``"reference"`` (original implementation).  Both produce
-            bit-identical assignments under the same seed.
 
     Returns:
         Part id (0..k-1) per vertex.  For ``k >= n`` every vertex gets its
         own part.
     """
-    check_engine(engine)
     if n == 0:
         return []
     w = [1.0] * n if weights is None else list(weights)
@@ -222,7 +147,6 @@ def kway_partition(
         cur_adj[u][v] = cur_adj[u].get(v, 0.0) + wt
         cur_adj[v][u] = cur_adj[v].get(u, 0.0) + wt
     cur_w = list(w)
-    maps: list[list[int]] = []  # fine vertex -> coarse vertex, per level
     while len(cur_w) > max(4 * k, 16):
         groups = _heavy_edge_matching(len(cur_w), cur_adj, cur_w, rng)
         if groups is None:
@@ -241,7 +165,6 @@ def kway_partition(
                     new_adj[cu][cv] = new_adj[cu].get(cv, 0.0) + wt
                     new_adj[cv][cu] = new_adj[cv].get(cu, 0.0) + wt
         levels.append((cur_adj, cur_w, coarse_of))
-        maps.append(coarse_of)
         cur_adj, cur_w = new_adj, new_w
 
     # --- Initial partitioning (connectivity-aware greedy growth) --------
@@ -269,38 +192,21 @@ def kway_partition(
             p = min(range(k), key=lambda x: part_weight[x])
         assign[v] = p
         part_weight[p] += cur_w[v]
-    if engine == "fast":
-        _refine_fast(
-            m, cur_adj, cur_w, assign, k, max_part_weight, rng, counters
-        )
-    else:
-        _refine(m, cur_adj, cur_w, assign, k, max_part_weight, rng, counters)
+    _refine(m, cur_adj, cur_w, assign, k, max_part_weight, rng, counters)
 
     # --- Uncoarsening ----------------------------------------------------
     for fine_adj, fine_w, coarse_of in reversed(levels):
         assign = [assign[coarse_of[v]] for v in range(len(fine_w))]
-        if engine == "fast":
-            _refine_fast(
-                len(fine_w),
-                fine_adj,
-                fine_w,
-                assign,
-                k,
-                max_part_weight,
-                rng,
-                counters,
-            )
-        else:
-            _refine(
-                len(fine_w),
-                fine_adj,
-                fine_w,
-                assign,
-                k,
-                max_part_weight,
-                rng,
-                counters,
-            )
+        _refine(
+            len(fine_w),
+            fine_adj,
+            fine_w,
+            assign,
+            k,
+            max_part_weight,
+            rng,
+            counters,
+        )
     obs.inc("kway.kl_passes", counters["kl_passes"])
     obs.inc("kway.moves", counters["moves"])
     return assign

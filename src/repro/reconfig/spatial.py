@@ -76,11 +76,13 @@ def spatial_select(
             w = steps(v.area)
             if w > cap:
                 continue
-            cand = np.full(cap + 1, neg_inf)
-            cand[w:] = best[: cap + 1 - w] + v.gain
-            better = cand > new
-            new[better] = cand[better]
-            pick[better] = j
+            # Budgets below w cannot fit this version: compare only the
+            # shifted tail and write through the views.
+            seg = best[: cap + 1 - w] + v.gain
+            new_tail, pick_tail = new[w:], pick[w:]
+            better = seg > new_tail
+            new_tail[better] = seg[better]
+            pick_tail[better] = j
         best = new
         picks.append(pick)
 

@@ -387,7 +387,6 @@ _RECONFIG_DEFAULTS: dict[str, Any] = {
     "max_area": None,
     "rho": None,
     "seed": 0,
-    "engine": "fast",
 }
 
 
@@ -430,9 +429,6 @@ def _reconfig_inputs(p: dict):
 
 def _resolve_reconfig(params: dict) -> tuple[str, dict]:
     p = _take(params, _RECONFIG_DEFAULTS, "reconfig")
-    # Validated but NOT folded into the key: the k-way engines are
-    # bit-identical under a fixed seed.
-    _engine_key(p, "reconfig")
     if p["loops"] is not None and p["benchmarks"]:
         raise ReproError("'reconfig' takes either 'loops' or 'benchmarks'")
     if p["benchmarks"]:
@@ -470,7 +466,6 @@ def _compute_reconfig(params: dict) -> dict:
         max_area,
         rho,
         seed=params["seed"],
-        engine=params["engine"],
     )
     return {
         "gain": sol.gain,

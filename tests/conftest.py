@@ -121,6 +121,19 @@ def random_small_dfg(seed: int, n: int = 10) -> DataFlowGraph:
     return dfg
 
 
+def to_networkx(dfg: DataFlowGraph):
+    """The dependence graph as a networkx DiGraph (node ids preserved);
+    the graph-theory oracle for the convexity and connectivity tests."""
+    import networkx as nx
+
+    g = nx.DiGraph()
+    g.add_nodes_from(dfg.nodes)
+    for n in dfg.nodes:
+        for p in dfg.preds(n):
+            g.add_edge(p, n)
+    return g
+
+
 @pytest.fixture
 def tiny_program() -> Program:
     """init block; loop(bound=10) around one kernel block; exit block."""

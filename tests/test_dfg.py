@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.errors import GraphError
 from repro.graphs.dfg import DataFlowGraph
 from repro.isa.opcodes import Opcode, op_info
-from tests.conftest import random_small_dfg
+from tests.conftest import random_small_dfg, to_networkx
 
 
 class TestConstruction:
@@ -115,7 +115,7 @@ class TestConvexity:
         import networkx as nx
 
         dfg = random_small_dfg(seed, n)
-        g = dfg.to_networkx()
+        g = to_networkx(dfg)
         rng_nodes = list(dfg.nodes)
         # Try a handful of subsets per graph.
         import random as _random

@@ -9,6 +9,7 @@ import pytest
 from repro.errors import ReproError, ScheduleError, WorkloadError
 from repro.graphs.dfg import DataFlowGraph
 from repro.isa.opcodes import Opcode
+from tests.conftest import to_networkx
 
 
 class TestTaskSetErrors:
@@ -127,7 +128,7 @@ class TestMtreconfigErrors:
 
 class TestDfgMisc:
     def test_to_networkx_roundtrip(self, diamond_dfg):
-        g = diamond_dfg.to_networkx()
+        g = to_networkx(diamond_dfg)
         assert set(g.nodes) == set(diamond_dfg.nodes)
         assert g.has_edge(0, 1) and g.has_edge(2, 3)
 

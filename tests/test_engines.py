@@ -5,6 +5,9 @@ fast path and the deleted array/compiled/auto tiers — must be rejected
 at every surface: :class:`ValueError` from the library entry points,
 :class:`~repro.errors.ReproError` from the job service, and exit status
 2 from the CLI's argument parser.
+
+The Chapter 6 k-way partitioner has a single implementation, so the
+``reconfig`` surfaces take no engine at all.
 """
 
 from __future__ import annotations
@@ -128,20 +131,6 @@ def _mlgp_profile(engine):
     mlgp_program_profile(_program(), engine=engine)
 
 
-def _kway(engine):
-    from repro.reconfig import kway_partition
-
-    kway_partition(4, {(0, 1): 1.0}, k=2, engine=engine)
-
-
-def _iterative(engine):
-    from repro.reconfig import iterative_partition
-    from repro.testing import random_hot_loops
-
-    loops, trace = random_hot_loops(1, n_loops=3)
-    iterative_partition(loops, trace, 100.0, 10.0, engine=engine)
-
-
 ENTRY_POINTS = {
     "enumeration": _enumerate,
     "library": _library,
@@ -159,8 +148,6 @@ ENTRY_POINTS = {
     "mlgp.uncached": lambda e: _mlgp(e, use_cache=False),
     "mlgp.flow": _mlgp_flow,
     "mlgp.profile": _mlgp_profile,
-    "kway": _kway,
-    "reconfig.iterative": _iterative,
 }
 
 SERVICE_KINDS = {
@@ -168,13 +155,11 @@ SERVICE_KINDS = {
     "curve": {"benchmark": "crc32"},
     "pareto": {"benchmarks": ["crc32"]},
     "mlgp": {"benchmarks": ["crc32"]},
-    "reconfig": {},
 }
 
 CLI_FLAGS = {
     "--engine": lambda e: ["--engine", e, "curve", "crc32"],
     "mlgp --engine": lambda e: ["mlgp", "crc32", "--engine", e],
-    "reconfig --engine": lambda e: ["reconfig", "--engine", e],
     "faults --sim-engine": lambda e: ["faults", "crc32", "--sim-engine", e],
 }
 
@@ -208,3 +193,15 @@ def test_retired_engine_names_rejected(surface, target, capsys):
                 main(target(engine))
             assert exc.value.code == 2
             assert "invalid choice" in capsys.readouterr().err
+
+
+def test_reconfig_takes_no_engine(capsys):
+    from repro.cli import main
+    from repro.service.jobs import resolve_job
+
+    with pytest.raises(ReproError, match="unknown parameter.*engine"):
+        resolve_job("reconfig", {"engine": "fast"})
+    with pytest.raises(SystemExit) as exc:
+        main(["reconfig", "--engine", "fast"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -10,7 +10,7 @@ from repro.enumeration.mimo import enumerate_connected, enumerate_exhaustive
 from repro.enumeration.miso import maximal_misos
 from repro.graphs.dfg import DataFlowGraph
 from repro.isa.opcodes import Opcode
-from tests.conftest import random_small_dfg
+from tests.conftest import random_small_dfg, to_networkx
 
 
 class TestMiso:
@@ -65,7 +65,7 @@ class TestConnected:
         subs = enumerate_connected(dfg, 4, 2)
         import networkx as nx
 
-        und = dfg.to_networkx().to_undirected()
+        und = to_networkx(dfg).to_undirected()
         for s in subs:
             assert dfg.is_feasible(s, 4, 2)
             assert nx.is_connected(und.subgraph(s))
@@ -93,7 +93,7 @@ class TestConnected:
                 dfg, 4, 2, max_size=8, max_candidates=10000, max_visited=10**6
             )
         )
-        und = dfg.to_networkx().to_undirected()
+        und = to_networkx(dfg).to_undirected()
         for sub in enumerate_exhaustive(dfg, 4, 2):
             sub_nodes = set(sub)
             if nx.is_connected(und.subgraph(sub_nodes)):
@@ -143,7 +143,7 @@ class TestBitsetEngine:
         bit = enumerate_connected(
             dfg, 4, 2, max_size=8, engine="fast", **self.GENEROUS
         )
-        und = dfg.to_networkx().to_undirected()
+        und = to_networkx(dfg).to_undirected()
         expected = sorted(
             (
                 s
@@ -169,7 +169,7 @@ class TestBitsetEngine:
     def test_masks_match_graph_structure(self):
         dfg = random_small_dfg(17, 12)
         m = dfg.bitset_masks()
-        g = dfg.to_networkx()
+        g = to_networkx(dfg)
         import networkx as nx
 
         for n in dfg.nodes:

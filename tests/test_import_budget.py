@@ -1,9 +1,10 @@
 """Import budget: scipy and networkx stay off every entry point's import path.
 
-scipy (~0.6 s) is used only by the two ILP solvers and networkx only by
-``DataFlowGraph.to_networkx``; both are imported inside those functions.
-A module-level import anywhere on the path below brings the cost back into
-every CLI process, service process and benchmark set-up, so this test
+scipy (~0.6 s) is used only by the two ILP solvers, which import it inside
+the solver functions; networkx is not a runtime dependency at all (only the
+graph-theory oracles in the test suite use it).  A module-level import
+anywhere on the path below brings the cost back into every CLI process,
+service process and benchmark set-up, so this test
 imports the entry points in a fresh interpreter and checks ``sys.modules``.
 Nothing is timed, so the test cannot flake on a slow host.
 """

@@ -140,6 +140,7 @@ class TestKwayPartition:
 
     def test_k_geq_n(self):
         assert kway_partition(3, {}, k=5) == [0, 1, 2]
+        assert kway_partition(0, {}) == []
 
     def test_k_one(self):
         assert kway_partition(4, {(0, 1): 1.0}, k=1) == [0, 0, 0, 0]
