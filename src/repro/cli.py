@@ -178,9 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "reference = the frozenset oracle)")
     p_mlgp.add_argument("--seed", type=int, default=0,
                         help="MLGP seed (default 0)")
-    p_mlgp.add_argument("--workers", type=int, default=None,
-                        help="precompute per-region MLGP runs in N parallel "
-                             "processes")
     p_mlgp.add_argument("--no-cache", action="store_true",
                         default=argparse.SUPPRESS,
                         help="disable the artifact cache for this run")
@@ -599,7 +596,6 @@ def _cmd_mlgp(args: argparse.Namespace) -> int:
         u_target=args.target,
         seed=args.seed,
         engine=args.part_engine,
-        workers=args.workers,
     )
     rows = [
         (r.iteration, r.task, f"{r.utilization:.4f}", r.new_cis,

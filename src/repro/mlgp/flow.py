@@ -27,8 +27,7 @@ from repro import obs
 from repro.engines import check_engine
 from repro.graphs.program import Block, Program
 from repro.isa.costmodel import DEFAULT_COST_MODEL, HardwareCostModel
-from repro.mlgp.mlgp import MlgpResult, mlgp_partition
-from repro.parallel import parallel_map
+from repro.mlgp.mlgp import mlgp_partition
 
 __all__ = ["GeneratedCI", "IterationRecord", "IterativeResult", "iterative_customization", "mlgp_program_profile", "ProfileStep"]
 
@@ -134,7 +133,6 @@ def iterative_customization(
     seed: int = 0,
     engine: str = "fast",
     use_cache: bool = True,
-    workers: int | None = None,
 ) -> IterativeResult:
     """Run Algorithm 4 on a task set.
 
@@ -152,10 +150,6 @@ def iterative_customization(
         engine: MLGP engine (``"fast"`` or ``"reference"``); engines are
             bit-identical under a fixed seed.
         use_cache: memoize per-region MLGP results in :mod:`repro.cache`.
-        workers: with > 1, precompute each iteration's candidate regions
-            in that many parallel processes; the serial commit fold (and
-            its delta early exit) is applied afterwards, so the result is
-            identical to the serial flow.
 
     Returns:
         An :class:`IterativeResult` with the per-iteration utilization
@@ -193,7 +187,6 @@ def iterative_customization(
                     seed + iteration,
                     engine,
                     use_cache,
-                    workers,
                 )
             if new_cis:
                 cis.extend(new_cis)
@@ -220,22 +213,6 @@ def iterative_customization(
     )
 
 
-def _mlgp_job(
-    args: tuple,
-) -> MlgpResult:
-    """Module-level worker so per-region MLGP jobs can be pickled."""
-    dfg, region, max_inputs, max_outputs, model, seed, engine = args
-    return mlgp_partition(
-        dfg,
-        region,
-        max_inputs=max_inputs,
-        max_outputs=max_outputs,
-        model=model,
-        seed=seed,
-        engine=engine,
-    )
-
-
 def _customize_task(
     state: IterationState,
     delta: float,
@@ -246,7 +223,6 @@ def _customize_task(
     seed: int,
     engine: str = "fast",
     use_cache: bool = True,
-    workers: int | None = None,
 ) -> list[GeneratedCI]:
     """Generate custom instructions for one task until *delta* is reached."""
     program = state.program
@@ -262,30 +238,19 @@ def _customize_task(
         if total > 0 and acc / total >= coverage:
             break
 
-    # Candidate regions in the exact order the serial fold visits them.
-    # With workers the whole list is precomputed in parallel (possibly
-    # past the delta early-exit point — extra work, identical results);
-    # without, a lazy generator keeps the original on-demand behaviour.
-    work: list[tuple[int, float, int, frozenset[int] | tuple[int, ...]]] = []
-    seen: set[tuple[int, int]] = set()
+    # On demand: MLGP runs one region at a time, in WCET-path then region
+    # order, and stops as soon as delta is reached.
+    new_cis: list[GeneratedCI] = []
+    gained_on_path = 0.0
     for block_idx, count in chosen:
         dfg = blocks[block_idx].dfg
         for region_rank, region in enumerate(dfg.regions()):
             key = (block_idx, region_rank)
-            if key in state.explored or key in seen or len(region) < 2:
+            if key in state.explored or len(region) < 2:
                 continue
-            seen.add(key)
-            work.append((block_idx, count, region_rank, region))
-    jobs = [
-        (blocks[b].dfg, region, max_inputs, max_outputs, model, seed, engine)
-        for b, _count, _rank, region in work
-    ]
-    if workers is not None and workers > 1 and len(jobs) > 1:
-        results = iter(parallel_map(_mlgp_job, jobs, workers, label="regions"))
-    else:
-        results = (
-            mlgp_partition(
-                blocks[b].dfg,
+            state.explored.add(key)
+            result = mlgp_partition(
+                dfg,
                 region,
                 max_inputs=max_inputs,
                 max_outputs=max_outputs,
@@ -294,36 +259,30 @@ def _customize_task(
                 engine=engine,
                 use_cache=use_cache,
             )
-            for b, _count, _rank, region in work
-        )
-
-    new_cis: list[GeneratedCI] = []
-    gained_on_path = 0.0
-    for (block_idx, count, region_rank, region), result in zip(work, results):
-        dfg = blocks[block_idx].dfg
-        state.explored.add((block_idx, region_rank))
-        region_gain = 0.0
-        for part, gain, area in zip(result.partitions, result.gains, result.areas):
-            if gain <= 0:
-                continue
-            region_gain += gain
-            new_cis.append(
-                GeneratedCI(
-                    task=program.name,
-                    block_index=block_idx,
-                    nodes=part,
-                    gain=gain,
-                    area=area,
-                    structural_key=dfg.structural_key(part),
+            region_gain = 0.0
+            for part, gain, area in zip(
+                result.partitions, result.gains, result.areas
+            ):
+                if gain <= 0:
+                    continue
+                region_gain += gain
+                new_cis.append(
+                    GeneratedCI(
+                        task=program.name,
+                        block_index=block_idx,
+                        nodes=part,
+                        gain=gain,
+                        area=area,
+                        structural_key=dfg.structural_key(part),
+                    )
                 )
-            )
-        if region_gain > 0:
-            state.saved_by_block[block_idx] = (
-                state.saved_by_block.get(block_idx, 0.0) + region_gain
-            )
-            gained_on_path += region_gain * count
-        if gained_on_path >= delta:
-            return new_cis
+            if region_gain > 0:
+                state.saved_by_block[block_idx] = (
+                    state.saved_by_block.get(block_idx, 0.0) + region_gain
+                )
+                gained_on_path += region_gain * count
+            if gained_on_path >= delta:
+                return new_cis
     return new_cis
 
 
@@ -345,7 +304,6 @@ def mlgp_program_profile(
     time_budget: float | None = None,
     engine: str = "fast",
     use_cache: bool = True,
-    workers: int | None = None,
 ) -> list[ProfileStep]:
     """Average-case speedup-vs-analysis-time profile of MLGP on a program.
 
@@ -354,86 +312,55 @@ def mlgp_program_profile(
     weight order; regions within a block in descending size; after every
     region the cumulative application speedup ``SW / HW`` and the cumulative
     hardware area are recorded.
-
-    With ``workers`` > 1 every region is precomputed in parallel before
-    the serial fold; the reported speedup/area sequence is identical, but
-    ``elapsed`` reflects the parallel wall-clock and ``time_budget`` only
-    truncates the fold, not the precompute.
     """
     check_engine(engine)
     with obs.span("mlgp.profile", program=program.name, engine=engine):
-        return _mlgp_program_profile(
-            program, max_inputs, max_outputs, model, seed, time_budget,
-            engine, use_cache, workers,
+        start = time.perf_counter()
+        freq = program.profile()
+        blocks = program.basic_blocks
+        order = sorted(
+            range(len(blocks)),
+            key=lambda i: -(freq.get(i, 0.0) * blocks[i].dfg.sw_cycles()),
         )
-
-
-def _mlgp_program_profile(
-    program: Program,
-    max_inputs: int,
-    max_outputs: int,
-    model: HardwareCostModel,
-    seed: int,
-    time_budget: float | None,
-    engine: str = "fast",
-    use_cache: bool = True,
-    workers: int | None = None,
-) -> list[ProfileStep]:
-    start = time.perf_counter()
-    freq = program.profile()
-    blocks = program.basic_blocks
-    order = sorted(
-        range(len(blocks)),
-        key=lambda i: -(freq.get(i, 0.0) * blocks[i].dfg.sw_cycles()),
-    )
-    sw_total = sum(
-        freq.get(i, 0.0) * blocks[i].dfg.sw_cycles() for i in range(len(blocks))
-    )
-    work = [
-        (i, region)
-        for i in order
-        if freq.get(i, 0.0) > 0
-        for region in blocks[i].dfg.regions()
-        if len(region) >= 2
-    ]
-    if workers is not None and workers > 1 and len(work) > 1:
-        jobs = [
-            (blocks[i].dfg, region, max_inputs, max_outputs, model, seed,
-             engine)
-            for i, region in work
-        ]
-        results = iter(parallel_map(_mlgp_job, jobs, workers, label="regions"))
-    else:
-        results = (
-            mlgp_partition(
-                blocks[i].dfg,
-                region,
-                max_inputs=max_inputs,
-                max_outputs=max_outputs,
-                model=model,
-                seed=seed,
-                engine=engine,
-                use_cache=use_cache,
-            )
-            for i, region in work
+        sw_total = sum(
+            freq.get(i, 0.0) * blocks[i].dfg.sw_cycles()
+            for i in range(len(blocks))
         )
-    saved = 0.0
-    area = 0.0
-    steps: list[ProfileStep] = []
-    for (i, _region), result in zip(work, results):
-        if time_budget is not None and time.perf_counter() - start > time_budget:
-            return steps
-        gain = sum(g for g in result.gains if g > 0)
-        if gain <= 0:
-            continue
-        saved += gain * freq[i]
-        area += result.total_area
-        speedup = sw_total / max(1.0, sw_total - saved)
-        steps.append(
-            ProfileStep(
-                elapsed=time.perf_counter() - start,
-                speedup=speedup,
-                area=area,
-            )
-        )
-    return steps
+        saved = 0.0
+        area = 0.0
+        steps: list[ProfileStep] = []
+        for i in order:
+            if freq.get(i, 0.0) <= 0:
+                continue
+            for region in blocks[i].dfg.regions():
+                if len(region) < 2:
+                    continue
+                result = mlgp_partition(
+                    blocks[i].dfg,
+                    region,
+                    max_inputs=max_inputs,
+                    max_outputs=max_outputs,
+                    model=model,
+                    seed=seed,
+                    engine=engine,
+                    use_cache=use_cache,
+                )
+                if (
+                    time_budget is not None
+                    and time.perf_counter() - start > time_budget
+                ):
+                    return steps
+                gain = sum(g for g in result.gains if g > 0)
+                if gain <= 0:
+                    continue
+                saved += gain * freq[i]
+                area += result.total_area
+                speedup = sw_total / max(1.0, sw_total - saved)
+                steps.append(
+                    ProfileStep(
+                        elapsed=time.perf_counter() - start,
+                        speedup=speedup,
+                        area=area,
+                    )
+                )
+        return steps

@@ -27,10 +27,10 @@ counted on the metrics registry regardless of logging:
 ``parallel.pool_failures``, ``parallel.timeouts``,
 ``parallel.serial_retries``, ``parallel.retry_deadline_exceeded``.
 
-When tracing is enabled in the parent (:func:`repro.obs.enable_tracing`),
-pool jobs are wrapped so each worker captures its own spans and metric
+Every pool job is wrapped so its worker captures its own spans and metric
 deltas; the parent merges them back into one trace/metrics view
-(:func:`repro.obs.merge_payload`).
+(:func:`repro.obs.merge_payload`), keeping the spans only when it is
+tracing itself.  Counters therefore sum the same with or without tracing.
 
 Setting the ``REPRO_NO_PROCESS_POOL`` environment variable (to anything
 non-empty) forces every map serial — the chaos-test knob for running the
@@ -43,7 +43,6 @@ import logging
 import os
 import time
 from collections.abc import Callable, Iterable, Sequence
-from functools import partial
 from typing import Any, TypeVar
 
 from repro import obs
@@ -159,15 +158,11 @@ def parallel_map(
     if use_pool:
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, wait
 
-        capture = obs.tracing_enabled()
-        task: Callable[[Any], Any] = (
-            partial(_captured_job, fn) if capture else fn
-        )
         pool = None
         failure: BaseException | None = None
         try:
             pool = ProcessPoolExecutor(max_workers=workers)
-            futures = [pool.submit(task, job) for job in job_list]
+            futures = [pool.submit(_captured_job, fn, job) for job in job_list]
             done, pending = wait(futures, timeout=timeout)
             timed_out = bool(pending)
             # Cancel what never started: a cancelled queued future will not
@@ -179,11 +174,8 @@ def parallel_map(
                     continue
                 exc = fut.exception()
                 if exc is None:
-                    if capture:
-                        results[i], payload = fut.result()
-                        obs.merge_payload(payload)
-                    else:
-                        results[i] = fut.result()
+                    results[i], payload = fut.result()
+                    obs.merge_payload(payload)
                 elif isinstance(exc, (BrokenExecutor, OSError, PermissionError)):
                     # Infrastructure failure on this job; retry it serially.
                     failure = exc

@@ -9,6 +9,7 @@ warning (the parallel-timeout regressions live in
 from __future__ import annotations
 
 import logging
+import os
 from pathlib import Path
 
 import pytest
@@ -225,6 +226,21 @@ class TestChildCapture:
         assert sorted(s["attrs"]["x"] for s in children) == [1, 2, 3]
         assert all(s["parent"] is not None for s in children)
         assert obs.metrics_snapshot()["counters"]["obs-test.child_jobs"] == 3
+
+    def test_parallel_map_merges_worker_counters_without_tracing(
+        self, monkeypatch
+    ):
+        # Single-core hosts skip the pool by design; fake two cores so the
+        # workers really run and their metric deltas must be shipped back.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        obs.disable_tracing()
+        obs.clear_trace()
+        before = obs.metrics_snapshot()["counters"].get("obs-test.child_jobs", 0)
+        out = parallel_map(_traced_job, [1, 2, 3, 4], workers=2)
+        assert out == [2, 3, 4, 5]
+        after = obs.metrics_snapshot()["counters"].get("obs-test.child_jobs", 0)
+        assert after - before == 4
+        assert obs.trace_spans() == []  # spans stay off with tracing off
 
 
 class TestCacheRegressions:

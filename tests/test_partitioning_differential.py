@@ -8,12 +8,14 @@ cache-consistency properties the pipeline relies on.
 
 The k-way partitioner has a single implementation; its answers on seeded
 random graphs are pinned (sha256 of each assignment plus its edge-cut),
-so a change to its refinement cannot alter results unnoticed.
+so a change to its refinement cannot alter results unnoticed.  Algorithm
+6's per-k process fan-out must return the serial search's solution.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 
 import pytest
@@ -22,6 +24,7 @@ from repro import cache, obs
 from repro.graphs.dfg import DataFlowGraph
 from repro.isa.costmodel import HardwareCostModel
 from repro.isa.opcodes import Opcode
+from repro.mlgp.flow import iterative_customization, mlgp_program_profile
 from repro.mlgp.mlgp import mlgp_partition
 from repro.mtreconfig.dp import dp_solution
 from repro.mtreconfig.model import ReconfigTask, TaskVersion
@@ -30,6 +33,7 @@ from repro.reconfig.extract import extract_hot_loops
 from repro.reconfig.iterative import iterative_partition
 from repro.reconfig.kwaypart import edge_cut, kway_partition
 from repro.workloads import get_program
+from repro.workloads.loops import synthetic_loops, synthetic_trace
 from tests.conftest import random_small_dfg
 
 
@@ -320,6 +324,51 @@ class TestIterativePartitionDifferential:
         warm = iterative_partition(loops, trace, 150.0, 400.0, seed=3)
         assert cold.partition == warm.partition == uncached.partition
         assert warm.gain == uncached.gain
+
+    def test_workers_match_serial_search(self, monkeypatch):
+        """The per-k fan-out returns the serial search's solution and
+        reports the same k-way counters (worker deltas are merged back)."""
+        # Single-core hosts skip the pool by design; fake two cores so the
+        # fan-out really runs.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        loops, trace = synthetic_loops(20, seed=20), synthetic_trace(20, seed=20)
+
+        def run(workers):
+            obs.reset()
+            sol = iterative_partition(
+                loops, trace, 150.0, 400.0, workers=workers, use_cache=False
+            )
+            counters = obs.metrics_snapshot()["counters"]
+            return sol, {k: v for k, v in counters.items() if k.startswith("kway.")}
+
+        serial, serial_counters = run(None)
+        fanned, fanned_counters = run(2)
+        assert serial.n_configurations > 1  # the search reaches k > 1
+        assert fanned.partition == serial.partition
+        assert fanned.gain == serial.gain
+        assert fanned.n_configurations == serial.n_configurations
+        assert fanned_counters == serial_counters
+        assert serial_counters.get("kway.kl_passes", 0) > 0
+
+
+class TestMlgpFlowIsSerial:
+    """Algorithm 4 visits regions on demand; it has no process fan-out."""
+
+    def test_iterative_customization_takes_no_workers(self):
+        with pytest.raises(TypeError, match="workers"):
+            iterative_customization([get_program("crc32")], [1.0], workers=2)
+
+    def test_profile_takes_no_workers(self):
+        with pytest.raises(TypeError, match="workers"):
+            mlgp_program_profile(get_program("crc32"), workers=2)
+
+    def test_cli_mlgp_takes_no_workers(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["mlgp", "crc32", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def _mk_task(name, period, versions):
