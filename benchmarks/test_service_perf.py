@@ -161,7 +161,6 @@ def test_service_perf(benchmark):
     def run() -> dict:
         cache.set_enabled(True)
         cache.set_cache_dir(None)
-        cache.reset_backend()
         try:
             serial_s = _serial_sweep()
 
@@ -208,7 +207,6 @@ def test_service_perf(benchmark):
             return payload
         finally:
             cache.reset_cache_dir()
-            cache.reset_backend()
             cache.clear()
 
     payload = once(benchmark, run)

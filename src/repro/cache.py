@@ -28,44 +28,42 @@ a ``.corrupt`` suffix and a warning is logged once per observability epoch
 metric; see :func:`repro.obs.reset`), never an exception, never a wrong
 payload.
 
-*Storage* of the persistent tier is pluggable (:mod:`repro.cache_backends`):
-the default :class:`~repro.cache_backends.LocalDirBackend` keeps one JSON
-file per entry under ``REPRO_CACHE_DIR`` with **LRU-by-mtime eviction**
-under ``REPRO_CACHE_MAX_BYTES`` / ``REPRO_CACHE_MAX_ENTRIES`` budgets
-(the directory is shared by the processes of one host), and
-tests/embedders can :func:`set_backend` a
-:class:`~repro.cache_backends.MemoryBackend`.  Envelope validation (this
-module) is backend-independent, so every tier gets the same checksum and
-quarantine guarantees.
+The persistent tier (:class:`_DiskTier`) keeps one JSON file per entry
+under ``REPRO_CACHE_DIR``, shared by the processes of one host, with
+**LRU-by-mtime eviction** under the ``REPRO_CACHE_MAX_BYTES`` /
+``REPRO_CACHE_MAX_ENTRIES`` budgets (unset means unbounded).  Validated
+hits refresh an entry's mtime, so hot artifacts survive the sweeps.
 
 Hit/miss accounting is mirrored into :mod:`repro.obs` under
 ``cache.<kind>.hits`` / ``.misses`` / ``.disk_hits``; the persistent
-tier's occupancy/eviction/contention counters live under ``cache.disk.*``
-and in the ``"disk"`` section of :func:`stats`.
+tier's eviction/contention counters live under ``cache.disk.*`` and in
+the ``"disk"`` section of :func:`stats`, which also refreshes the
+``cache.disk.bytes`` / ``cache.disk.entries`` occupancy gauges.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import logging
 import os
+import tempfile
 import threading
+import time
 import weakref
 from collections import OrderedDict
 from collections.abc import Callable, Iterable, Sequence
 from pathlib import Path
 from typing import Any
 
-from repro import cache_backends, obs
-from repro.cache_backends import CacheBackend
+from repro import obs
 from repro.enumeration.patterns import Candidate
 from repro.graphs.program import Block, IfElse, Loop, Program, Seq
 from repro.selection.config_curve import TaskConfiguration
 
 __all__ = [
     "artifact_key",
-    "active_backend",
     "cache_dir",
     "disk_stats",
     "registered_kinds",
@@ -86,9 +84,7 @@ __all__ = [
     "hot_loops_digest",
     "program_fingerprint",
     "reconfig_tasks_digest",
-    "reset_backend",
     "reset_cache_dir",
-    "set_backend",
     "set_cache_dir",
     "set_enabled",
     "store_candidates",
@@ -109,6 +105,16 @@ __all__ = [
 SCHEMA_VERSION = 2
 
 _ENV_DIR = "REPRO_CACHE_DIR"
+_ENV_MAX_BYTES = "REPRO_CACHE_MAX_BYTES"
+_ENV_MAX_ENTRIES = "REPRO_CACHE_MAX_ENTRIES"
+
+#: Stores between eviction sweeps when a budget is set.  A sweep scans the
+#: directory, so it is amortized; the budgets are soft by at most this many
+#: entries of overshoot per process.
+_SWEEP_INTERVAL = 8
+
+#: A *.tmp file older than this is an orphan from a crashed writer.
+_STALE_TMP_SECONDS = 300.0
 
 logger = logging.getLogger("repro.cache")
 
@@ -126,10 +132,15 @@ def _warn_corrupt_once(path: Path, reason: str) -> None:
         )
 
 
-def _quarantine(backend: CacheBackend, entry: str, reason: str) -> None:
+def _quarantine(path: Path, reason: str) -> None:
     """Move a corrupt entry aside so it is never re-read, and log once."""
-    backend.quarantine(entry, reason)
-    _warn_corrupt_once(Path(entry), reason)
+    try:
+        os.replace(path, path.with_suffix(path.suffix + ".corrupt"))
+    except OSError:
+        # Read-only directory: leave the file; reads keep treating it as
+        # a miss, so correctness is unaffected.
+        pass
+    _warn_corrupt_once(path, reason)
 
 
 def _payload_checksum(payload: Any) -> str:
@@ -179,6 +190,197 @@ class _LRUCache:
         return len(self._data)
 
 
+def _env_int(name: str) -> int | None:
+    """A positive integer budget from the environment, else ``None``."""
+    raw = os.environ.get(name)
+    if not raw:
+        return None
+    try:
+        value = int(raw)
+    except ValueError:
+        return None
+    return value if value > 0 else None
+
+
+class _DiskTier:
+    """One local directory of JSON entry files, shared by the processes of
+    one host.
+
+    Writes are atomic (unique tempfile + ``os.replace``), so concurrent
+    writers never produce a torn file.  When a budget is set, every
+    :data:`_SWEEP_INTERVAL`-th store runs an LRU-by-mtime eviction sweep
+    guarded by a non-blocking ``flock``, so exactly one process pays for it
+    at a time (contenders skip and count ``cache.disk.lock_contention``);
+    ``flock`` is not reliable on network filesystems.  Nothing here raises
+    for environmental reasons (full disk, read-only directory, a vanished
+    file): the tier is an accelerator, not a correctness dependency.
+    """
+
+    def __init__(self, root: Path) -> None:
+        self.root = root
+        self.max_bytes = _env_int(_ENV_MAX_BYTES)
+        self.max_entries = _env_int(_ENV_MAX_ENTRIES)
+        self._lock = threading.Lock()
+        self._stores_since_sweep = 0
+        self.evictions = 0
+        self.evicted_bytes = 0
+        self.lock_contention = 0
+
+    def store(self, entry: str, text: str) -> None:
+        path = self.root / entry
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            # Unique tempfile in the same directory + os.replace:
+            # concurrent writers cannot interleave and readers never
+            # observe a torn file.
+            fd, tmp_name = tempfile.mkstemp(
+                prefix=path.name + ".", suffix=".tmp", dir=self.root
+            )
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    fh.write(text)
+                os.replace(tmp_name, path)
+            except OSError:
+                try:
+                    os.unlink(tmp_name)
+                except OSError:
+                    pass
+                raise
+        except OSError:
+            # A read-only or full cache directory must never fail the
+            # pipeline.
+            return
+        if self.max_bytes is not None or self.max_entries is not None:
+            with self._lock:
+                self._stores_since_sweep += 1
+                due = self._stores_since_sweep >= _SWEEP_INTERVAL
+                if due:
+                    self._stores_since_sweep = 0
+            if due:
+                self.sweep()
+
+    def clear(self) -> None:
+        if not self.root.is_dir():
+            return
+        for pattern in (
+            "repro-cache-*.json",
+            "repro-cache-*.json.corrupt",
+            "repro-cache-*.tmp",
+        ):
+            for f in self.root.glob(pattern):
+                f.unlink(missing_ok=True)
+
+    def _scan(self) -> list[tuple[float, int, str]]:
+        """(mtime, size, name) of every cache-owned file, oldest first.
+
+        Quarantined ``*.corrupt`` files age out through the same LRU:
+        nothing refreshes their mtime, so they are among the first evicted
+        once a budget binds.  Orphaned ``*.tmp`` files from crashed
+        writers are deleted on sight once stale.
+        """
+        now = time.time()
+        rows: list[tuple[float, int, str]] = []
+        try:
+            it = os.scandir(self.root)
+        except OSError:
+            return rows
+        with it:
+            for de in it:
+                name = de.name
+                if not name.startswith("repro-cache-"):
+                    continue
+                try:
+                    st = de.stat()
+                except OSError:
+                    continue
+                if name.endswith(".tmp"):
+                    if now - st.st_mtime > _STALE_TMP_SECONDS:
+                        try:
+                            os.unlink(de.path)
+                        except OSError:
+                            pass
+                    continue
+                rows.append((st.st_mtime, st.st_size, name))
+        rows.sort()
+        return rows
+
+    def sweep(self) -> None:
+        """Evict least-recently-used files until both budgets hold."""
+        fd = -1
+        try:
+            fd = os.open(
+                self.root / "repro-cache.lock", os.O_CREAT | os.O_RDWR, 0o644
+            )
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except OSError:
+            if fd >= 0:
+                os.close(fd)
+            # Another process is sweeping; skip rather than queue up —
+            # its sweep covers our writes too.
+            self.lock_contention += 1
+            obs.inc("cache.disk.lock_contention")
+            return
+        try:
+            rows = self._scan()
+            total = sum(size for _, size, _ in rows)
+            count = len(rows)
+            evicted = 0
+            evicted_bytes = 0
+            for mtime, size, name in rows:
+                over_bytes = (
+                    self.max_bytes is not None and total > self.max_bytes
+                )
+                over_entries = (
+                    self.max_entries is not None and count > self.max_entries
+                )
+                if not over_bytes and not over_entries:
+                    break
+                try:
+                    os.unlink(self.root / name)
+                except OSError:
+                    continue
+                total -= size
+                count -= 1
+                evicted += 1
+                evicted_bytes += size
+            with self._lock:
+                self.evictions += evicted
+                self.evicted_bytes += evicted_bytes
+            obs.inc("cache.disk.sweeps")
+            if evicted:
+                obs.inc("cache.disk.evictions", evicted)
+                obs.inc("cache.disk.evicted_bytes", evicted_bytes)
+            obs.set_gauge("cache.disk.bytes", total)
+            obs.set_gauge("cache.disk.entries", count)
+        finally:
+            # Unlock explicitly: a child forked mid-sweep shares the open
+            # file description, so closing ours alone would not release it.
+            try:
+                fcntl.flock(fd, fcntl.LOCK_UN)
+            finally:
+                os.close(fd)
+
+    def stats(self) -> dict[str, Any]:
+        """The directory's occupancy as it is now (also refreshing the
+        ``cache.disk.bytes`` / ``cache.disk.entries`` gauges) plus this
+        process's eviction and contention totals."""
+        rows = self._scan()
+        total = sum(size for _, size, _ in rows)
+        obs.set_gauge("cache.disk.bytes", total)
+        obs.set_gauge("cache.disk.entries", len(rows))
+        with self._lock:
+            return {
+                "path": str(self.root),
+                "bytes": total,
+                "entries": len(rows),
+                "max_bytes": self.max_bytes,
+                "max_entries": self.max_entries,
+                "evictions": self.evictions,
+                "evicted_bytes": self.evicted_bytes,
+                "lock_contention": self.lock_contention,
+            }
+
+
 #: Single registry of artifact kinds: stats()/clear() derive from it, so a
 #: new kind can never drift out of the report or survive a clear().
 _KINDS: dict[str, _LRUCache] = {}
@@ -201,9 +403,8 @@ _MTSOLUTIONS = _register_kind("mtsolution", maxsize=512)
 _SERVICE = _register_kind("service", maxsize=1024)
 _enabled = True
 _dir_override: Path | None | str = ""  # "" means "follow the environment"
-_backend_override: CacheBackend | None | str = ""  # "" = derive from dir/env
-#: Memoized auto-constructed backend: (directory, env signature) -> backend.
-_auto_backend: tuple[tuple, CacheBackend] | None = None
+#: Memoized disk tier: (directory, budget env values) -> tier.
+_tier_memo: tuple[tuple, _DiskTier] | None = None
 
 
 def set_enabled(enabled: bool) -> None:
@@ -238,60 +439,29 @@ def cache_dir() -> Path | None:
     return Path(env) if env else None
 
 
-def set_backend(backend: CacheBackend | None) -> None:
-    """Override the persistent-tier backend (``None`` disables the tier).
-
-    Takes precedence over :func:`set_cache_dir` / ``REPRO_CACHE_DIR``; use
-    :func:`reset_backend` to drop the override and derive the backend from
-    the directory again.
-    """
-    global _backend_override
-    _backend_override = backend
-
-
-def reset_backend() -> None:
-    """Drop any :func:`set_backend` override and the memoized auto
-    backend; follow the directory/environment again."""
-    global _backend_override, _auto_backend
-    _backend_override = ""
-    _auto_backend = None
-
-
-def active_backend() -> CacheBackend | None:
-    """The persistent-tier backend in effect, or ``None`` when disabled.
-
-    Without a :func:`set_backend` override the backend is a
-    :class:`~repro.cache_backends.LocalDirBackend` on :func:`cache_dir`
-    with the ``REPRO_CACHE_MAX_BYTES`` / ``REPRO_CACHE_MAX_ENTRIES``
-    budgets, memoized until any of those change.
-    """
-    global _auto_backend
-    if _backend_override != "":
-        return _backend_override  # type: ignore[return-value]
+def _disk_tier() -> _DiskTier | None:
+    """The persistent tier on :func:`cache_dir`, or ``None`` when disabled;
+    memoized until the directory or a budget variable changes."""
+    global _tier_memo
     d = cache_dir()
     if d is None:
         return None
     sig = (
         str(d),
-        os.environ.get(cache_backends.ENV_MAX_BYTES),
-        os.environ.get(cache_backends.ENV_MAX_ENTRIES),
+        os.environ.get(_ENV_MAX_BYTES),
+        os.environ.get(_ENV_MAX_ENTRIES),
     )
-    if _auto_backend is not None and _auto_backend[0] == sig:
-        return _auto_backend[1]
-    backend = cache_backends.LocalDirBackend(d)
-    _auto_backend = (sig, backend)
-    # Seed the cache.disk.* occupancy gauges so even read-only runs
-    # surface the tier in metrics snapshots / trace summaries.
-    backend.stats()
-    return backend
+    if _tier_memo is None or _tier_memo[0] != sig:
+        _tier_memo = (sig, _DiskTier(d))
+    return _tier_memo[1]
 
 
 def disk_stats() -> dict[str, Any] | None:
     """Occupancy/eviction/contention stats of the persistent tier, or
-    ``None`` when no backend is active (the ``"disk"`` row of
+    ``None`` when the disk tier is off (the ``"disk"`` row of
     :func:`stats`)."""
-    backend = active_backend()
-    return backend.stats() if backend is not None else None
+    tier = _disk_tier()
+    return tier.stats() if tier is not None else None
 
 
 def clear(disk: bool = False) -> None:
@@ -300,9 +470,9 @@ def clear(disk: bool = False) -> None:
     for lru in _KINDS.values():
         lru.clear()
     if disk:
-        backend = active_backend()
-        if backend is not None:
-            backend.clear()
+        tier = _disk_tier()
+        if tier is not None:
+            tier.clear()
 
 
 def registered_kinds() -> tuple[str, ...]:
@@ -315,9 +485,8 @@ def stats() -> dict[str, dict[str, Any]]:
 
     The per-kind rows are derived from the kind registry, so those keys
     are exactly :func:`registered_kinds` — a kind can never drift out of
-    the report.  When a persistent-tier backend is active, one extra
-    ``"disk"`` row carries its occupancy/eviction/contention stats
-    (:func:`disk_stats`).
+    the report.  When the disk tier is on, one extra ``"disk"`` row
+    carries its occupancy/eviction/contention stats (:func:`disk_stats`).
     """
     out: dict[str, dict[str, Any]] = {
         kind: {"hits": lru.hits, "misses": lru.misses, "size": len(lru)}
@@ -564,48 +733,49 @@ def _entry_name(kind: str, key: str) -> str:
 
 
 def _disk_read(kind: str, key: str) -> Any | None:
-    backend = active_backend()
-    if backend is None:
+    tier = _disk_tier()
+    if tier is None:
         return None
-    entry = _entry_name(kind, key)
-    text = backend.load(entry)
-    if text is None:
+    path = tier.root / _entry_name(kind, key)
+    try:
+        text = path.read_text()
+    except OSError:
         return None
     try:
         data = json.loads(text)
     except json.JSONDecodeError:
         # Truncated write, bit rot, or a foreign file wearing our name.
-        _quarantine(backend, entry, "not valid JSON")
+        _quarantine(path, "not valid JSON")
         return None
     if not isinstance(data, dict):
-        _quarantine(backend, entry, "entry is not a JSON object")
+        _quarantine(path, "entry is not a JSON object")
         return None
     if data.get("schema") != SCHEMA_VERSION:
         # A legitimately stale entry from an older layout: a plain miss
         # (it will be overwritten by the next store), not corruption.
         return None
     if data.get("key") != key:
-        _quarantine(backend, entry, "key does not match the file name")
+        _quarantine(path, "key does not match the file name")
         return None
     payload = data.get("payload")
     try:
         checksum = _payload_checksum(payload)
     except (TypeError, ValueError):
-        _quarantine(backend, entry, "payload is not canonically serializable")
+        _quarantine(path, "payload is not canonically serializable")
         return None
     if data.get("checksum") != checksum:
-        _quarantine(backend, entry, "payload checksum mismatch")
+        _quarantine(path, "payload checksum mismatch")
         return None
     # A validated hit refreshes the entry's LRU position, so hot
     # artifacts survive budget-bound eviction sweeps.
-    backend.touch(entry)
+    try:
+        os.utime(path)
+    except OSError:
+        pass
     return payload
 
 
-def _disk_write(kind: str, key: str, payload: Any) -> None:
-    backend = active_backend()
-    if backend is None:
-        return
+def _disk_write(tier: _DiskTier, kind: str, key: str, payload: Any) -> None:
     text = json.dumps({
         "schema": SCHEMA_VERSION,
         "kind": kind,
@@ -613,7 +783,7 @@ def _disk_write(kind: str, key: str, payload: Any) -> None:
         "checksum": _payload_checksum(payload),
         "payload": payload,
     })
-    backend.store(_entry_name(kind, key), text)
+    tier.store(_entry_name(kind, key), text)
 
 
 # ----------------------------------------------------------------------
@@ -650,8 +820,9 @@ def _store(
         return
     frozen = tuple(values)
     lru.put(key, frozen)
-    if active_backend() is not None:
-        _disk_write(kind, key, [encode(v) for v in frozen])
+    tier = _disk_tier()
+    if tier is not None:
+        _disk_write(tier, kind, key, [encode(v) for v in frozen])
 
 
 def _fetch_json(lru: _LRUCache, kind: str, key: str) -> Any | None:
@@ -674,8 +845,9 @@ def _store_json(lru: _LRUCache, kind: str, key: str, payload: Any) -> None:
     if not _enabled:
         return
     lru.put(key, json.dumps(payload))
-    if active_backend() is not None:
-        _disk_write(kind, key, payload)
+    tier = _disk_tier()
+    if tier is not None:
+        _disk_write(tier, kind, key, payload)
 
 
 def fetch_candidates(key: str) -> list[Candidate] | None:

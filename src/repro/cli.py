@@ -990,6 +990,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
+    if trace_path or show_metrics:
+        # Refresh the cache.disk.* occupancy gauges to the directory as
+        # this run left it.
+        cache.disk_stats()
     if trace_path:
         obs.export_trace(trace_path)
         print(f"trace written to {trace_path}", file=sys.stderr)

@@ -301,7 +301,6 @@ def mlgp_program_profile(
     max_outputs: int = 2,
     model: HardwareCostModel = DEFAULT_COST_MODEL,
     seed: int = 0,
-    time_budget: float | None = None,
     engine: str = "fast",
     use_cache: bool = True,
 ) -> list[ProfileStep]:
@@ -345,11 +344,6 @@ def mlgp_program_profile(
                     engine=engine,
                     use_cache=use_cache,
                 )
-                if (
-                    time_budget is not None
-                    and time.perf_counter() - start > time_budget
-                ):
-                    return steps
                 gain = sum(g for g in result.gains if g > 0)
                 if gain <= 0:
                     continue

@@ -9,23 +9,16 @@ reconfiguration searches fan independent jobs out over a
   processes — pool creation fails with ``OSError``/``PermissionError``.
 * A worker can die mid-map (OOM kill, segfault), which surfaces as
   :class:`~concurrent.futures.BrokenExecutor` on the affected futures.
-* A pool can wedge; an optional per-map ``timeout=`` bounds the wait.
 
 Jobs that did not finish in the pool are retried serially in the parent,
 so a *broken* pool always yields the same results a serial run would
-produce.  A *timed-out* map is different: ``timeout=`` is an overall
-deadline for the whole call — pending futures are cancelled, the serial
-retry runs only inside the remaining budget, and when the budget is
-exhausted with jobs still unfinished a :class:`TimeoutError` is raised (a
-timeout that silently doubles is not a timeout).  Exceptions raised by the
-job function itself are *not* swallowed — they propagate exactly as they
-would serially.
+produce.  Exceptions raised by the job function itself are *not*
+swallowed — they propagate exactly as they would serially.
 
 Every degradation is logged once per observability epoch
 (:func:`repro.obs.warn_once`; re-armed by :func:`repro.obs.reset`) and
 counted on the metrics registry regardless of logging:
-``parallel.pool_failures``, ``parallel.timeouts``,
-``parallel.serial_retries``, ``parallel.retry_deadline_exceeded``.
+``parallel.pool_failures`` and ``parallel.serial_retries``.
 
 Every pool job is wrapped so its worker captures its own spans and metric
 deltas; the parent merges them back into one trace/metrics view
@@ -41,7 +34,6 @@ from __future__ import annotations
 
 import logging
 import os
-import time
 from collections.abc import Callable, Iterable, Sequence
 from typing import Any, TypeVar
 
@@ -116,7 +108,6 @@ def parallel_map(
     jobs: Iterable[_T],
     workers: int | None,
     label: str = "jobs",
-    timeout: float | None = None,
 ) -> list[_R]:
     """Map a picklable *fn* over *jobs*, optionally across processes.
 
@@ -138,23 +129,15 @@ def parallel_map(
             epoch) names the failure.  Exceptions raised by *fn* itself
             propagate.
         label: what the jobs are, for the degradation warning.
-        timeout: optional overall deadline (seconds) for the whole call.
-            On expiry the still-pending futures are cancelled, the pool is
-            abandoned without waiting on it, and unfinished jobs are
-            retried serially **within the remaining budget**; if the
-            budget runs out with jobs still unfinished, a
-            :class:`TimeoutError` is raised naming the shortfall.
 
     Returns:
         ``[fn(j) for j in jobs]``.
     """
     job_list: Sequence[Any] = list(jobs)
     n = len(job_list)
-    deadline = time.monotonic() + timeout if timeout is not None else None
     use_pool = workers is not None and workers > 1 and n > 1 and pool_allowed()
     obs.inc("parallel.maps")
     results: list[Any] = [_MISSING] * n
-    timed_out = False
     if use_pool:
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, wait
 
@@ -163,15 +146,8 @@ def parallel_map(
         try:
             pool = ProcessPoolExecutor(max_workers=workers)
             futures = [pool.submit(_captured_job, fn, job) for job in job_list]
-            done, pending = wait(futures, timeout=timeout)
-            timed_out = bool(pending)
-            # Cancel what never started: a cancelled queued future will not
-            # run behind our back while the parent retries it serially.
-            for fut in pending:
-                fut.cancel()
+            wait(futures)
             for i, fut in enumerate(futures):
-                if fut not in done:
-                    continue
                 exc = fut.exception()
                 if exc is None:
                     results[i], payload = fut.result()
@@ -186,30 +162,15 @@ def parallel_map(
             failure = exc
         finally:
             if pool is not None:
-                # Never block on a broken or timed-out pool; leftover
-                # workers exit on their own once their job ends.
+                # Never block on a broken pool; leftover workers exit on
+                # their own once their job ends.
                 pool.shutdown(wait=False, cancel_futures=True)
-        unfinished = sum(1 for r in results if r is _MISSING)
         if failure is not None:
+            unfinished = sum(1 for r in results if r is _MISSING)
             obs.inc("parallel.pool_failures")
             obs.inc("parallel.serial_retries", unfinished)
             _warn_once(failure, label, retried=unfinished)
-        elif timed_out:
-            obs.inc("parallel.timeouts")
-            obs.inc("parallel.serial_retries", unfinished)
-            _warn_once(
-                TimeoutError(f"parallel map exceeded timeout={timeout}s"),
-                label,
-                retried=unfinished,
-            )
     for i, r in enumerate(results):
         if r is _MISSING:
-            if deadline is not None and time.monotonic() >= deadline:
-                left = sum(1 for r2 in results if r2 is _MISSING)
-                obs.inc("parallel.retry_deadline_exceeded")
-                raise TimeoutError(
-                    f"{label}: timeout={timeout}s exhausted with {left} of "
-                    f"{n} jobs unfinished"
-                )
             results[i] = fn(job_list[i])
     return results

@@ -259,7 +259,7 @@ class TestDiskHardening:
 
 
 class TestBackendsAndEviction:
-    """The pluggable persistent tier: budgets, LRU eviction, stats."""
+    """The persistent directory tier: budgets, LRU eviction, stats."""
 
     def _fill(self, n: int, prefix: str = "ev") -> list[str]:
         keys = [f"{prefix}-{i:02d}" for i in range(n)]
@@ -267,87 +267,73 @@ class TestBackendsAndEviction:
             cache.store_service_result(key, {"i": i, "pad": "x" * 64})
         return keys
 
-    def test_memory_backend_roundtrip_and_entry_budget(self):
-        from repro.cache_backends import MemoryBackend
+    @staticmethod
+    def _budgeted_tier(tmp_path, monkeypatch, interval: int, **budgets):
+        """The disk tier on *tmp_path* under env budgets, sweeping every
+        *interval* stores."""
+        for name, value in budgets.items():
+            monkeypatch.setenv(f"REPRO_CACHE_MAX_{name.upper()}", str(value))
+        monkeypatch.setattr(cache, "_SWEEP_INTERVAL", interval)
+        cache.set_cache_dir(tmp_path)
+        return cache._disk_tier()
 
-        backend = MemoryBackend(max_entries=3)
-        cache.set_backend(backend)
-        try:
-            keys = self._fill(5)
-            stats = backend.stats()
-            assert stats["entries"] == 3
-            assert stats["evictions"] == 2
-            # Survivors are the most recently stored; clear the LRU so the
-            # fetch has to go through the backend.
-            cache.clear()
-            assert cache.fetch_service_result(keys[0]) is None
-            assert cache.fetch_service_result(keys[4]) == {
-                "i": 4, "pad": "x" * 64,
-            }
-        finally:
-            cache.reset_backend()
+    def test_memory_backend_roundtrip_and_entry_budget(
+        self, tmp_path, monkeypatch
+    ):
+        tier = self._budgeted_tier(tmp_path, monkeypatch, 1, entries=3)
+        keys = self._fill(5)
+        stats = tier.stats()
+        assert stats["entries"] == 3
+        assert stats["evictions"] == 2
+        # Survivors are the most recently stored; clear the LRU so the
+        # fetch has to go through the disk tier.
+        cache.clear()
+        assert cache.fetch_service_result(keys[0]) is None
+        assert cache.fetch_service_result(keys[4]) == {
+            "i": 4, "pad": "x" * 64,
+        }
 
-    def test_memory_backend_byte_budget(self):
-        from repro.cache_backends import MemoryBackend
+    def test_memory_backend_byte_budget(self, tmp_path, monkeypatch):
+        tier = self._budgeted_tier(tmp_path, monkeypatch, 1, bytes=600)
+        self._fill(8)
+        assert tier.stats()["bytes"] <= 600
+        assert tier.stats()["evictions"] >= 1
 
-        backend = MemoryBackend(max_bytes=600)
-        cache.set_backend(backend)
-        try:
-            self._fill(8)
-            assert backend.stats()["bytes"] <= 600
-            assert backend.stats()["evictions"] >= 1
-        finally:
-            cache.reset_backend()
-
-    def test_local_dir_eviction_is_lru_by_mtime(self, tmp_path):
+    def test_local_dir_eviction_is_lru_by_mtime(self, tmp_path, monkeypatch):
         import os
         import time as time_mod
 
-        from repro.cache_backends import LocalDirBackend
+        tier = self._budgeted_tier(tmp_path, monkeypatch, 1, entries=2)
+        keys = self._fill(2, prefix="lru")
+        # Backdate the first entry, then *hit* it: the validated read
+        # refreshes its mtime, so the un-hit second entry is evicted.
+        (first,) = [p for p in tmp_path.glob("repro-cache-service-*lru-00*")]
+        old = time_mod.time() - 1000
+        os.utime(first, (old, old))
+        cache.clear()
+        assert cache.fetch_service_result(keys[0]) is not None
+        self._fill(1, prefix="lru-new")
+        tier.sweep()
+        names = sorted(p.name for p in tmp_path.glob("repro-cache-*.json"))
+        assert len(names) == 2
+        assert any("lru-00" in n for n in names)   # refreshed: kept
+        assert any("lru-new" in n for n in names)  # newest: kept
+        assert not any("lru-01" in n for n in names)  # LRU: evicted
 
-        backend = LocalDirBackend(tmp_path, max_entries=2, sweep_interval=1)
-        cache.set_backend(backend)
-        try:
-            keys = self._fill(2, prefix="lru")
-            # Backdate the first entry, then *hit* it: the validated read
-            # refreshes its mtime, so the un-hit second entry is evicted.
-            (first,) = [
-                p for p in tmp_path.glob("repro-cache-service-*lru-00*")
-            ]
-            old = time_mod.time() - 1000
-            os.utime(first, (old, old))
-            cache.clear()
-            assert cache.fetch_service_result(keys[0]) is not None
-            self._fill(1, prefix="lru-new")
-            backend.sweep()
-            names = sorted(p.name for p in tmp_path.glob("repro-cache-*.json"))
-            assert len(names) == 2
-            assert any("lru-00" in n for n in names)   # refreshed: kept
-            assert any("lru-new" in n for n in names)  # newest: kept
-            assert not any("lru-01" in n for n in names)  # LRU: evicted
-        finally:
-            cache.reset_backend()
-
-    def test_sweep_is_amortized_over_stores(self, tmp_path):
-        from repro.cache_backends import LocalDirBackend
-
-        backend = LocalDirBackend(tmp_path, max_entries=2, sweep_interval=50)
-        cache.set_backend(backend)
-        try:
-            self._fill(6)
-            # Below the sweep interval: budget intentionally not enforced
-            # yet (sweeps cost a directory scan; they are amortized).
-            assert len(list(tmp_path.glob("repro-cache-*.json"))) == 6
-            backend.sweep()
-            assert len(list(tmp_path.glob("repro-cache-*.json"))) == 2
-        finally:
-            cache.reset_backend()
+    def test_sweep_is_amortized_over_stores(self, tmp_path, monkeypatch):
+        tier = self._budgeted_tier(tmp_path, monkeypatch, 50, entries=2)
+        self._fill(6)
+        # Below the sweep interval: budget intentionally not enforced
+        # yet (sweeps cost a directory scan; they are amortized).
+        assert len(list(tmp_path.glob("repro-cache-*.json"))) == 6
+        tier.sweep()
+        assert len(list(tmp_path.glob("repro-cache-*.json"))) == 2
 
     def test_stats_carries_disk_row_with_backend(self, tmp_path):
         cache.set_cache_dir(tmp_path)
         self._fill(3)
         stats = cache.stats()
-        assert stats["disk"]["backend"] == "local"
+        assert stats["disk"]["path"] == str(tmp_path)
         assert stats["disk"]["entries"] == 3
         assert stats["disk"]["bytes"] > 0
         for field in ("evictions", "evicted_bytes", "lock_contention"):
@@ -357,42 +343,77 @@ class TestBackendsAndEviction:
         assert cache.disk_stats() is None
 
     def test_local_sweep_skips_while_another_process_holds_the_lock(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
         import fcntl
         import os
 
-        from repro.cache_backends import LocalDirBackend
-
-        backend = LocalDirBackend(tmp_path, max_entries=1, sweep_interval=50)
-        cache.set_backend(backend)
+        tier = self._budgeted_tier(tmp_path, monkeypatch, 50, entries=1)
+        self._fill(3)
+        # A second open file description conflicts with the tier's own
+        # exactly as another process's flock would.
+        fd = os.open(tmp_path / "repro-cache.lock", os.O_CREAT | os.O_RDWR)
         try:
-            self._fill(3)
-            # A second open file description conflicts with the backend's
-            # own exactly as another process's flock would.
-            fd = os.open(tmp_path / "repro-cache.lock", os.O_CREAT | os.O_RDWR)
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-                backend.sweep()  # contended: must skip, not block or evict
-                assert backend.lock_contention == 1
-                assert backend.evictions == 0
-                assert len(list(tmp_path.glob("repro-cache-*.json"))) == 3
-            finally:
-                os.close(fd)
-            backend.sweep()
-            assert backend.lock_contention == 1
-            assert backend.evictions == 2
-            assert len(list(tmp_path.glob("repro-cache-*.json"))) == 1
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            tier.sweep()  # contended: must skip, not block or evict
+            assert tier.lock_contention == 1
+            assert tier.evictions == 0
+            assert len(list(tmp_path.glob("repro-cache-*.json"))) == 3
         finally:
-            cache.reset_backend()
+            os.close(fd)
+        tier.sweep()
+        assert tier.lock_contention == 1
+        assert tier.evictions == 2
+        assert len(list(tmp_path.glob("repro-cache-*.json"))) == 1
 
     def test_env_budget_drives_auto_backend(self, tmp_path, monkeypatch):
-        from repro import cache_backends
-
-        monkeypatch.setenv(cache_backends.ENV_MAX_ENTRIES, "4")
+        monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "4")
         cache.set_cache_dir(tmp_path)
-        backend = cache.active_backend()
-        assert backend is not None and backend.max_entries == 4
+        tier = cache._disk_tier()
+        assert tier is not None and tier.max_entries == 4
         self._fill(9)
-        backend.sweep()
+        tier.sweep()
         assert len(list(tmp_path.glob("repro-cache-*.json"))) == 4
+
+    def test_literal_schema2_entry_is_a_disk_hit(self, tmp_path):
+        """Pins the on-disk format: file name (kind + first 40 key
+        characters), envelope fields and payload checksum."""
+        import json
+
+        from repro import obs
+
+        key = "ab" * 32
+        (tmp_path / f"repro-cache-service-{'ab' * 20}.json").write_text(
+            json.dumps({
+                "schema": 2,
+                "kind": "service",
+                "key": key,
+                # SHA-256 of the canonical payload '{"answer":42}'.
+                "checksum": "ecf59a2696ca44a417e20e2a7eabb1b2"
+                            "6e82c779f8546bea354a2cc80e8e1eed",
+                "payload": {"answer": 42},
+            })
+        )
+        cache.set_cache_dir(tmp_path)
+        before = obs.metrics_snapshot()["counters"].get(
+            "cache.service.disk_hits", 0
+        )
+        assert cache.fetch_service_result(key) == {"answer": 42}
+        after = obs.metrics_snapshot()["counters"]["cache.service.disk_hits"]
+        assert after == before + 1
+        assert not list(tmp_path.glob("*.corrupt"))
+
+    def test_cli_metrics_report_disk_tier_after_the_run(
+        self, tmp_path, capsys
+    ):
+        import re
+
+        from repro.cli import main
+
+        assert main(
+            ["--cache-dir", str(tmp_path), "--metrics", "curve", "crc32"]
+        ) == 0
+        out = capsys.readouterr().out
+        # The run stored a library and a curve: the gauges describe the
+        # directory as the run left it, not as it found it.
+        assert re.search(r"^cache\.disk\.entries\s+2\s*$", out, re.M), out

@@ -7,7 +7,7 @@ readable, budgets respected after a sweep, no stray tempfiles, and the
 corruption quarantine still working while eviction runs.
 
 Child processes run via ``subprocess`` (not ``fork``) so each has its
-own pristine module state and derives its backend from the environment,
+own pristine module state and derives its disk tier from the environment,
 exactly like independent CLI invocations sharing a cache directory.
 """
 
@@ -22,7 +22,6 @@ from pathlib import Path
 import pytest
 
 from repro import cache
-from repro.cache_backends import LocalDirBackend
 
 #: What each hammer process runs: interleaved stores and fetches of
 #: service-kind entries through the public cache API, with eviction
@@ -42,7 +41,7 @@ for i in range(n_ops):
         stored += 1
     else:
         # Fresh processes share only the disk tier; clear the in-process
-        # LRU so every fetch exercises the concurrent backend path.
+        # LRU so every fetch exercises the concurrent disk-tier path.
         cache.clear()
         got = cache.fetch_service_result(key)
         fetched += 1
@@ -90,14 +89,21 @@ def _entries(cache_dir: Path) -> list[Path]:
 
 
 @pytest.fixture(autouse=True)
-def isolated_backend():
+def isolated_tier():
     cache.set_cache_dir(None)
-    cache.reset_backend()
     cache.clear()
     yield
     cache.reset_cache_dir()
-    cache.reset_backend()
     cache.clear()
+
+
+def _tier(cache_dir: Path, monkeypatch, **budgets) -> "cache._DiskTier":
+    """The disk tier on *cache_dir* under env budgets, as a process
+    started with those variables would build it."""
+    for name, value in budgets.items():
+        monkeypatch.setenv(f"REPRO_CACHE_MAX_{name.upper()}", str(value))
+    cache.set_cache_dir(cache_dir)
+    return cache._disk_tier()
 
 
 class TestConcurrentHammer:
@@ -123,7 +129,9 @@ class TestConcurrentHammer:
         assert served == len(entries)
         assert not list(tmp_path.glob("*.corrupt"))
 
-    def test_size_budget_respected_under_concurrency(self, tmp_path):
+    def test_size_budget_respected_under_concurrency(
+        self, tmp_path, monkeypatch
+    ):
         budget = 10
         _run_hammers(
             tmp_path,
@@ -133,11 +141,11 @@ class TestConcurrentHammer:
         )
         # Budgets are soft by one sweep interval per process while the
         # hammer runs; a final sweep must land exactly within budget.
-        backend = LocalDirBackend(tmp_path, max_entries=budget)
-        backend.sweep()
+        tier = _tier(tmp_path, monkeypatch, entries=budget)
+        tier.sweep()
         remaining = _entries(tmp_path)
         assert 0 < len(remaining) <= budget
-        stats = backend.stats()
+        stats = tier.stats()
         assert stats["entries"] == len(remaining)
         # The in-flight overshoot is bounded: even before that sweep the
         # hammers' own amortized sweeps kept the directory near budget.
@@ -145,19 +153,20 @@ class TestConcurrentHammer:
         # No tempfiles leaked by any writer.
         assert not list(tmp_path.glob("*.tmp"))
 
-    def test_byte_budget_respected(self, tmp_path):
+    def test_byte_budget_respected(self, tmp_path, monkeypatch):
         _run_hammers(
             tmp_path,
             n_procs=3,
             n_ops=60,
             extra_env={"REPRO_CACHE_MAX_BYTES": "4096"},
         )
-        backend = LocalDirBackend(tmp_path, max_bytes=4096)
-        backend.sweep()
+        _tier(tmp_path, monkeypatch, bytes=4096).sweep()
         total = sum(p.stat().st_size for p in _entries(tmp_path))
         assert total <= 4096
 
-    def test_quarantine_still_works_under_eviction(self, tmp_path):
+    def test_quarantine_still_works_under_eviction(
+        self, tmp_path, monkeypatch
+    ):
         cache.set_cache_dir(tmp_path)
         for i in range(6):
             cache.store_service_result(f"quar-{i}", {"i": i})
@@ -175,8 +184,8 @@ class TestConcurrentHammer:
         # a budget-bound sweep removes it before live entries.
         old = corrupt[0].stat().st_mtime - 1000
         os.utime(corrupt[0], (old, old))
-        backend = LocalDirBackend(tmp_path, max_entries=4)
-        backend.sweep()
+        tier = _tier(tmp_path, monkeypatch, entries=4)
+        tier.sweep()
         assert not list(tmp_path.glob("*.corrupt"))
         assert len(_entries(tmp_path)) <= 4
-        assert backend.stats()["evictions"] >= 1
+        assert tier.stats()["evictions"] >= 1

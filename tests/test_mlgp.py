@@ -202,10 +202,6 @@ class TestFlowKnobs:
         )
         assert full.custom_instructions
 
-    def test_profile_time_budget(self, tiny_program):
-        steps = mlgp_program_profile(tiny_program, time_budget=0.0)
-        assert steps == []
-
 
 class TestIsegenVsMlgp:
     def test_both_generate_feasible_cis_on_same_block(self):

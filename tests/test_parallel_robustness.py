@@ -1,15 +1,14 @@
 """Robustness tests for :func:`repro.parallel.parallel_map`.
 
 The process pool is infrastructure, not a correctness dependency: worker
-crashes, timeouts and forbidden pools must all degrade to serial execution
-with the same results — never a lost batch, never a wrong result.
+crashes and forbidden pools must both degrade to serial execution with
+the same results — never a lost batch, never a wrong result.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import time
 
 import pytest
 
@@ -33,22 +32,6 @@ def _crash_in_worker(x: int) -> int:
     if multiprocessing.parent_process() is not None:
         os._exit(1)
     return x + 100
-
-
-def _slow_in_worker(x: int) -> int:
-    """Stalls in a pool worker; returns instantly in the parent."""
-    if multiprocessing.parent_process() is not None:
-        time.sleep(30.0)
-    return x * 2
-
-
-def _slow_everywhere(x: int) -> int:
-    """Stalls in a pool worker and is slow enough in the parent that a
-    serial retry cannot finish inside an already-exhausted budget."""
-    if multiprocessing.parent_process() is not None:
-        time.sleep(30.0)
-    time.sleep(0.05)
-    return x * 2
 
 
 def _raise_value_error(x: int) -> int:
@@ -109,40 +92,6 @@ class TestDegradedPaths:
             obs.reset()
             parallel_map(_crash_in_worker, [3, 4], workers=2)
         assert len(caplog.records) == 2
-
-    @needs_pool
-    def test_timeout_is_hard_deadline(self, multicore, caplog):
-        """An exhausted budget raises instead of silently running serially."""
-        before = obs.metrics_snapshot()["counters"]
-        start = time.monotonic()
-        with caplog.at_level("WARNING", logger="repro.parallel"):
-            with pytest.raises(TimeoutError, match="sleepers"):
-                parallel_map(
-                    _slow_everywhere, list(range(1, 9)), workers=2,
-                    timeout=0.3, label="sleepers",
-                )
-        assert time.monotonic() - start < 25.0  # never waited on the pool
-        assert any("timeout" in r.message.lower() for r in caplog.records)
-        after = obs.metrics_snapshot()["counters"]
-        assert after.get("parallel.timeouts", 0) > before.get(
-            "parallel.timeouts", 0
-        )
-        assert after.get("parallel.retry_deadline_exceeded", 0) > before.get(
-            "parallel.retry_deadline_exceeded", 0
-        )
-
-    def test_generous_timeout_completes(self, multicore):
-        """A budget that is not exhausted behaves like no timeout at all."""
-        out = parallel_map(_square, [1, 2, 3], workers=2, timeout=60.0)
-        assert out == [1, 4, 9]
-
-    def test_serial_timeout_budget_is_enforced(self):
-        """The deadline also bounds pure-serial maps (workers=None)."""
-        with pytest.raises(TimeoutError, match="unfinished"):
-            parallel_map(
-                _slow_everywhere, list(range(8)), workers=None, timeout=0.12,
-                label="serial sleepers",
-            )
 
     def test_single_core_host_skips_pool_silently(self, monkeypatch, caplog):
         """With one CPU there is no parallelism to gain: no pool is

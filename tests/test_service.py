@@ -17,7 +17,6 @@ import time
 import pytest
 
 from repro import cache
-from repro.cache_backends import MemoryBackend
 from repro.errors import ReproError
 from repro.service import jobs as jobs_mod
 from repro.service.client import (
@@ -32,12 +31,10 @@ def fresh_cache():
     """Service results are cached; isolate every test's store."""
     cache.set_enabled(True)
     cache.set_cache_dir(None)
-    cache.reset_backend()
     cache.clear()
     yield
     cache.set_enabled(True)
     cache.reset_cache_dir()
-    cache.reset_backend()
     cache.clear()
 
 
@@ -132,15 +129,17 @@ class TestAtRestDedup:
         assert len(recorder.calls) == 1
         assert stats["counters"]["result_hits"] == 1
 
-    def test_results_survive_server_restart_via_backend(self, recorder):
+    def test_results_survive_server_restart_via_backend(
+        self, recorder, tmp_path
+    ):
         # The at-rest store is the artifact cache's persistent tier: a
         # fresh server (even a fresh process-level LRU) serves results
         # computed before it started.
-        cache.set_backend(MemoryBackend())
+        cache.set_cache_dir(tmp_path)
         with _server() as srv:
             with ServiceClient(**srv.address) as c:
                 c.submit(recorder.name, {"x": 11})
-        # Simulate a restart: drop the in-process LRU, keep the backend.
+        # Simulate a restart: drop the in-process LRU, keep the directory.
         cache.clear(disk=False)
         with _server() as srv:
             with ServiceClient(**srv.address) as c:

@@ -45,12 +45,10 @@ SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 def fresh_cache():
     cache.set_enabled(True)
     cache.set_cache_dir(None)
-    cache.reset_backend()
     cache.clear()
     yield
     cache.set_enabled(True)
     cache.reset_cache_dir()
-    cache.reset_backend()
     cache.clear()
 
 
