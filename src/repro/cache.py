@@ -74,7 +74,6 @@ __all__ = [
     "dfg_digest",
     "fetch_candidates",
     "fetch_curve",
-    "fetch_ksolutions",
     "fetch_mlgp",
     "fetch_mtsolution",
     "fetch_pareto",
@@ -89,7 +88,6 @@ __all__ = [
     "set_enabled",
     "store_candidates",
     "store_curve",
-    "store_ksolutions",
     "store_mlgp",
     "store_mtsolution",
     "store_pareto",
@@ -200,6 +198,25 @@ def _env_int(name: str) -> int | None:
     except ValueError:
         return None
     return value if value > 0 else None
+
+
+def _is_live_entry(name: str) -> bool:
+    """Whether *name* is a ``repro-cache-<kind>-<key>.json`` entry of a
+    registered kind, not a quarantined ``*.corrupt`` file or a foreign
+    file wearing the prefix."""
+    if not name.endswith(".json"):
+        return False
+    kind, sep, _ = name[len("repro-cache-"):].partition("-")
+    return bool(sep) and kind in _KINDS
+
+
+def _publish_occupancy(rows: list[tuple[float, int, str]]) -> tuple[int, int]:
+    """Bytes and count of the live entries among *rows*, also set on the
+    ``cache.disk.bytes`` / ``cache.disk.entries`` gauges."""
+    sizes = [size for _, size, name in rows if _is_live_entry(name)]
+    obs.set_gauge("cache.disk.bytes", sum(sizes))
+    obs.set_gauge("cache.disk.entries", len(sizes))
+    return sum(sizes), len(sizes)
 
 
 class _DiskTier:
@@ -324,7 +341,7 @@ class _DiskTier:
             rows = self._scan()
             total = sum(size for _, size, _ in rows)
             count = len(rows)
-            evicted = 0
+            evicted: set[str] = set()
             evicted_bytes = 0
             for mtime, size, name in rows:
                 over_bytes = (
@@ -341,17 +358,16 @@ class _DiskTier:
                     continue
                 total -= size
                 count -= 1
-                evicted += 1
+                evicted.add(name)
                 evicted_bytes += size
             with self._lock:
-                self.evictions += evicted
+                self.evictions += len(evicted)
                 self.evicted_bytes += evicted_bytes
             obs.inc("cache.disk.sweeps")
             if evicted:
-                obs.inc("cache.disk.evictions", evicted)
+                obs.inc("cache.disk.evictions", len(evicted))
                 obs.inc("cache.disk.evicted_bytes", evicted_bytes)
-            obs.set_gauge("cache.disk.bytes", total)
-            obs.set_gauge("cache.disk.entries", count)
+            _publish_occupancy([r for r in rows if r[2] not in evicted])
         finally:
             # Unlock explicitly: a child forked mid-sweep shares the open
             # file description, so closing ours alone would not release it.
@@ -361,18 +377,15 @@ class _DiskTier:
                 os.close(fd)
 
     def stats(self) -> dict[str, Any]:
-        """The directory's occupancy as it is now (also refreshing the
-        ``cache.disk.bytes`` / ``cache.disk.entries`` gauges) plus this
-        process's eviction and contention totals."""
-        rows = self._scan()
-        total = sum(size for _, size, _ in rows)
-        obs.set_gauge("cache.disk.bytes", total)
-        obs.set_gauge("cache.disk.entries", len(rows))
+        """The directory's live-entry occupancy as it is now (also
+        refreshing the ``cache.disk.bytes`` / ``cache.disk.entries``
+        gauges) plus this process's eviction and contention totals."""
+        total, entries = _publish_occupancy(self._scan())
         with self._lock:
             return {
                 "path": str(self.root),
                 "bytes": total,
-                "entries": len(rows),
+                "entries": entries,
                 "max_bytes": self.max_bytes,
                 "max_entries": self.max_entries,
                 "evictions": self.evictions,
@@ -398,7 +411,6 @@ _PARETO = _register_kind("pareto", maxsize=512)
 _SELECTIONS = _register_kind("selection", maxsize=2048)
 _PARTITIONS = _register_kind("partition", maxsize=256)
 _MLGP = _register_kind("mlgp", maxsize=4096)
-_KSOLUTIONS = _register_kind("ksolutions", maxsize=1024)
 _MTSOLUTIONS = _register_kind("mtsolution", maxsize=512)
 _SERVICE = _register_kind("service", maxsize=1024)
 _enabled = True
@@ -908,16 +920,6 @@ def fetch_mlgp(key: str) -> dict[str, Any] | None:
 def store_mlgp(key: str, payload: dict[str, Any]) -> None:
     """Memoize an MLGP region result."""
     _store_json(_MLGP, "mlgp", key, payload)
-
-
-def fetch_ksolutions(key: str) -> list[dict[str, Any]] | None:
-    """Cached per-k candidate solution list (Algorithm 6 phase 1-3) or None."""
-    return _fetch_json(_KSOLUTIONS, "ksolutions", key)
-
-
-def store_ksolutions(key: str, payload: Sequence[dict[str, Any]]) -> None:
-    """Memoize the candidate solutions of one configuration count k."""
-    _store_json(_KSOLUTIONS, "ksolutions", key, list(payload))
 
 
 def fetch_service_result(key: str) -> dict[str, Any] | None:

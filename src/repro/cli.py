@@ -39,7 +39,6 @@ from collections.abc import Sequence
 
 from repro import io as repro_io
 from repro import obs
-from repro.engines import ENGINES
 from repro.errors import ReproError
 from repro.report import (
     format_curve,
@@ -76,11 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "this directory (overrides $REPRO_CACHE_DIR)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the in-process artifact cache")
-    parser.add_argument("--engine", choices=ENGINES, default="fast",
-                        help="candidate-enumeration engine (default fast; "
-                             "reference = the set-based oracle; results "
-                             "match unless a visit budget binds, where "
-                             "fast reaches more candidates)")
     parser.add_argument("--trace", metavar="FILE", default=None,
                         help="record a span trace of this run as JSONL")
     parser.add_argument("--metrics", action="store_true", default=False,
@@ -172,10 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mlgp.add_argument("--target", type=float, default=1.0,
                         help="utilization target to customize down to "
                              "(default 1.0)")
-    p_mlgp.add_argument("--engine", dest="part_engine",
-                        choices=ENGINES, default="fast",
-                        help="MLGP engine (bit-identical; default fast; "
-                             "reference = the frozenset oracle)")
     p_mlgp.add_argument("--seed", type=int, default=0,
                         help="MLGP seed (default 0)")
     p_mlgp.add_argument("--no-cache", action="store_true",
@@ -203,9 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mt.add_argument("benchmarks", nargs="*",
                       help="constituent tasks (default: a seeded synthetic "
                            "task set)")
-    p_mt.add_argument("--engine", dest="mt_engine",
-                      choices=("dp", "ilp", "static"), default="dp",
-                      help="solver (default dp)")
+    p_mt.add_argument("--solver", choices=("dp", "ilp", "static"),
+                      default="dp", help="solver (default dp)")
     p_mt.add_argument("--fabric-area", type=float, default=None,
                       help="area of one fabric configuration (default: "
                            "2x the largest version)")
@@ -248,10 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-job overrun probability (default 0.25)")
     p_flt.add_argument("--jitter-frac", type=float, default=0.10,
                        help="reconfiguration jitter fraction (default 0.10)")
-    p_flt.add_argument("--sim-engine", choices=ENGINES, default="fast",
-                       help="simulator engine for the injection runs "
-                            "(default fast = event-compressed; reference = "
-                            "the release-by-release oracle)")
     p_flt.add_argument("--workers", type=int, default=None,
                        help="build per-task curves in N parallel processes")
     p_flt.add_argument("--output",
@@ -448,9 +433,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     from repro.rtsched.task import TaskSet
     from repro.workloads import get_program
 
-    task = build_task(
-        get_program(args.benchmark), objective=args.objective, engine=args.engine
-    )
+    task = build_task(get_program(args.benchmark), objective=args.objective)
     xs = [c.area for c in task.configurations]
     ys = [c.cycles for c in task.configurations]
     print(f"configuration curve for {args.benchmark} ({args.objective}):")
@@ -476,7 +459,6 @@ def _cmd_customize(args: argparse.Namespace) -> int:
             programs,
             target_utilization=args.utilization,
             workers=args.workers,
-            engine=args.engine,
         )
     budget = args.area if args.area is not None else 0.5 * task_set.max_area
     result = customize(task_set, budget, policy=args.policy)
@@ -516,7 +498,7 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
     from repro.workloads import programs_for
 
     programs = programs_for(tuple(args.benchmarks))
-    tasks = build_tasks(programs, workers=args.workers, engine=args.engine)
+    tasks = build_tasks(programs, workers=args.workers)
     alpha = len(tasks) / args.utilization
     curves = [
         TaskCurve(
@@ -591,11 +573,7 @@ def _cmd_mlgp(args: argparse.Namespace) -> int:
     alpha = len(programs) / args.utilization
     periods = [alpha * w for w in sw_wcets]
     result = iterative_customization(
-        programs,
-        periods,
-        u_target=args.target,
-        seed=args.seed,
-        engine=args.part_engine,
+        programs, periods, u_target=args.target, seed=args.seed
     )
     rows = [
         (r.iteration, r.task, f"{r.utilization:.4f}", r.new_cis,
@@ -675,10 +653,10 @@ def _cmd_mtreconfig(args: argparse.Namespace) -> int:
     rho = args.rho
     if rho is None:
         rho = 0.01 * min((t.period for t in tasks), default=1.0)
-    if args.mt_engine == "dp":
+    if args.solver == "dp":
         report = dp_solution(tasks, fabric_area, rho)
         solution, elapsed = report.solution, report.elapsed
-    elif args.mt_engine == "ilp":
+    elif args.solver == "ilp":
         report = ilp_solution(tasks, fabric_area, rho)
         solution, elapsed = report.solution, report.elapsed
     else:
@@ -691,7 +669,7 @@ def _cmd_mtreconfig(args: argparse.Namespace) -> int:
     print(format_table(
         ["metric", "value"],
         [
-            ("solver", args.mt_engine),
+            ("solver", args.solver),
             ("fabric area", fabric_area),
             ("rho", rho),
             ("utilization", f"{solution.utilization:.4f}"),
@@ -722,7 +700,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             target_utilization=args.utilization,
             name="+".join(names),
             workers=args.workers,
-            engine=args.engine,
         )
     policies = ("edf", "rms") if args.policy == "both" else (args.policy,)
     scenarios = default_scenarios(
@@ -737,7 +714,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         policies=policies,
         seed=args.seed,
         scenarios=scenarios,
-        engine=args.sim_engine,
     )
     print(format_fault_report(report))
     if args.output:

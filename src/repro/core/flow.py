@@ -83,7 +83,6 @@ def build_task(
     curve_steps: int = 12,
     method: str = "greedy",
     max_configs: int = 24,
-    engine: str = "fast",
     use_cache: bool = True,
 ) -> PeriodicTask:
     """Build a :class:`PeriodicTask` with a configuration curve from a program.
@@ -96,8 +95,6 @@ def build_task(
         max_inputs / max_outputs: register-port constraints.
         curve_steps: number of area budgets explored for the curve.
         method: candidate-selection method for the curve.
-        engine: candidate-enumeration engine (``"fast"`` or
-            ``"reference"``).
         use_cache: memoize the identification artifacts (candidate library
             and configuration curve) through :mod:`repro.cache`.
     """
@@ -106,7 +103,6 @@ def build_task(
             program,
             max_inputs=max_inputs,
             max_outputs=max_outputs,
-            engine=engine,
             use_cache=use_cache,
         )
         sp.set(candidates=len(library.candidates))

@@ -2,15 +2,16 @@
 
 A stage with more than one implementation keeps exactly two, under the
 same names everywhere: ``"fast"`` (the default) and ``"reference"`` (the
-plain implementation, kept as the differential oracle).  The CLI flags
-and the job service validate against the same tuple.
+plain implementation, kept as the differential oracle).  Only the
+functions that hold both implementations take an ``engine`` argument;
+nothing above them forwards one.
 """
 
 from __future__ import annotations
 
 __all__ = ["ENGINES", "check_engine"]
 
-#: Engine names accepted by every engine-taking entry point.
+#: Engine names accepted by every engine-taking function.
 ENGINES = ("fast", "reference")
 
 

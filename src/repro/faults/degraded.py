@@ -184,7 +184,6 @@ def cross_validate_single_fault(
     assignment: Sequence[int],
     policy: str = "edf",
     fault_task: int | None = None,
-    engine: str = "fast",
     horizon: float | None = None,
 ) -> tuple[DegradedVerdict, SimulationResult, bool]:
     """Degraded analytic verdict vs. the fault-injecting simulator.
@@ -206,7 +205,6 @@ def cross_validate_single_fault(
         task_set,
         assignment=list(assignment),
         policy="rm" if policy == "rms" else policy,
-        engine=engine,
         horizon=horizon,
         faults=model,
         containment="fallback-to-base",

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.core.flow import customize
-from repro.engines import check_engine
 from repro.faults.degraded import cross_validate_single_fault
 from repro.faults.model import CONTAINMENT_POLICIES, FaultModel
 from repro.report import format_fault_report
@@ -94,7 +93,6 @@ def sweep_faults(
     policies: Sequence[str] = ("edf", "rms"),
     seed: int = 0,
     scenarios: Sequence[FaultScenario] | None = None,
-    engine: str = "fast",
     horizon: float | None = None,
 ) -> dict:
     """Run the robustness battery on one task set.
@@ -107,13 +105,11 @@ def sweep_faults(
         seed: root seed for the scenario fault models.
         scenarios: injection campaigns (default: :func:`default_scenarios`
             with *seed*).
-        engine: simulator engine for every injection run.
-        horizon: simulation horizon override (default: the engine's own).
+        horizon: simulation horizon override (default: the simulator's own).
 
     Returns:
         A JSON-serializable report dict.
     """
-    check_engine(engine)
     budget = area_budget if area_budget is not None else 0.5 * task_set.max_area
     if scenarios is None:
         scenarios = default_scenarios(seed)
@@ -122,10 +118,9 @@ def sweep_faults(
         "n_tasks": len(task_set),
         "area_budget": budget,
         "seed": seed,
-        "engine": engine,
         "policies": [],
     }
-    with obs.span("faults.sweep", tasks=len(task_set), engine=engine):
+    with obs.span("faults.sweep", tasks=len(task_set)):
         for policy in policies:
             sim_policy = "rm" if policy == "rms" else policy
             with obs.span("faults.policy", policy=policy):
@@ -154,8 +149,7 @@ def sweep_faults(
                 with obs.span("validate", kind="single_fault", policy=policy):
                     for i, task in enumerate(task_set.tasks):
                         verdict, sim, agree = cross_validate_single_fault(
-                            task_set, assignment, policy, i,
-                            engine=engine, horizon=horizon,
+                            task_set, assignment, policy, i, horizon=horizon
                         )
                         robust = robust and verdict.schedulable
                         all_agree = all_agree and agree
@@ -182,7 +176,6 @@ def sweep_faults(
                             task_set,
                             assignment=assignment,
                             policy=sim_policy,
-                            engine=engine,
                             horizon=horizon,
                             faults=sc.faults,
                             containment=sc.containment,

@@ -59,7 +59,6 @@ def loops_from_programs(
     max_versions: int = 4,
     max_inputs: int = 4,
     max_outputs: int = 2,
-    engine: str = "fast",
     use_cache: bool = True,
 ):
     """Derive Chapter 6 hot loops from programs' configuration curves.
@@ -85,7 +84,6 @@ def loops_from_programs(
             curve_steps=max(max_versions, 2),
             max_inputs=max_inputs,
             max_outputs=max_outputs,
-            engine=engine,
             use_cache=use_cache,
         )
         curve = list(task.configurations)

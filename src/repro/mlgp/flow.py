@@ -24,7 +24,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.engines import check_engine
 from repro.graphs.program import Block, Program
 from repro.isa.costmodel import DEFAULT_COST_MODEL, HardwareCostModel
 from repro.mlgp.mlgp import mlgp_partition
@@ -131,7 +130,6 @@ def iterative_customization(
     path_weight_coverage: float = 0.9,
     max_iterations: int = 100,
     seed: int = 0,
-    engine: str = "fast",
     use_cache: bool = True,
 ) -> IterativeResult:
     """Run Algorithm 4 on a task set.
@@ -147,15 +145,12 @@ def iterative_customization(
             90%").
         max_iterations: safety cap on iterations.
         seed: MLGP seed.
-        engine: MLGP engine (``"fast"`` or ``"reference"``); engines are
-            bit-identical under a fixed seed.
         use_cache: memoize per-region MLGP results in :mod:`repro.cache`.
 
     Returns:
         An :class:`IterativeResult` with the per-iteration utilization
         trajectory and every committed custom instruction.
     """
-    check_engine(engine)
     start = time.perf_counter()
     states = [
         IterationState(program=p, period=per)
@@ -185,7 +180,6 @@ def iterative_customization(
                     model,
                     path_weight_coverage,
                     seed + iteration,
-                    engine,
                     use_cache,
                 )
             if new_cis:
@@ -221,7 +215,6 @@ def _customize_task(
     model: HardwareCostModel,
     coverage: float,
     seed: int,
-    engine: str = "fast",
     use_cache: bool = True,
 ) -> list[GeneratedCI]:
     """Generate custom instructions for one task until *delta* is reached."""
@@ -256,7 +249,6 @@ def _customize_task(
                 max_outputs=max_outputs,
                 model=model,
                 seed=seed,
-                engine=engine,
                 use_cache=use_cache,
             )
             region_gain = 0.0
@@ -301,7 +293,6 @@ def mlgp_program_profile(
     max_outputs: int = 2,
     model: HardwareCostModel = DEFAULT_COST_MODEL,
     seed: int = 0,
-    engine: str = "fast",
     use_cache: bool = True,
 ) -> list[ProfileStep]:
     """Average-case speedup-vs-analysis-time profile of MLGP on a program.
@@ -312,8 +303,7 @@ def mlgp_program_profile(
     region the cumulative application speedup ``SW / HW`` and the cumulative
     hardware area are recorded.
     """
-    check_engine(engine)
-    with obs.span("mlgp.profile", program=program.name, engine=engine):
+    with obs.span("mlgp.profile", program=program.name):
         start = time.perf_counter()
         freq = program.profile()
         blocks = program.basic_blocks
@@ -341,7 +331,6 @@ def mlgp_program_profile(
                     max_outputs=max_outputs,
                     model=model,
                     seed=seed,
-                    engine=engine,
                     use_cache=use_cache,
                 )
                 gain = sum(g for g in result.gains if g > 0)

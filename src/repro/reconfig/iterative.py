@@ -149,124 +149,70 @@ def _solutions_for_k(
     seed: int,
     prune: bool,
     k: int,
-    use_cache: bool = True,
 ) -> list[PartitionSolution]:
     """Candidate solutions for one configuration count *k* (phases 1-3).
 
     Returned in the exact order the serial fold compares them (each base
     candidate followed by its pruned variant when it differs), so folding
     the lists for ascending ``k`` reproduces the sequential search.
-
-    Per-k results are memoized behind a content key (loops + trace digest
-    + parameters).
     """
-    key = None
-    if use_cache:
-        key = cache.artifact_key(
-            cache.hot_loops_digest(loops, trace),
-            kind="ksolutions",
-            max_area=max_area,
-            rho=rho,
-            seed=seed,
-            prune=prune,
-            k=k,
-        )
-        cached = cache.fetch_ksolutions(key)
-        if cached is not None:
-            return [
-                PartitionSolution(
-                    partition=Partition(
-                        selection=tuple(c["selection"]),
-                        config_of=tuple(c["config_of"]),
-                    ),
-                    gain=c["gain"],
-                    n_configurations=c["n_configurations"],
-                )
-                for c in cached
-            ]
     with obs.span("reconfig.k", k=k, loops=len(loops)):
-        solutions = _solutions_for_k_body(
-            loops, trace, max_area, rho, seed, prune, k
-        )
-    if key is not None:
-        cache.store_ksolutions(
-            key,
-            [
-                {
-                    "selection": list(s.partition.selection),
-                    "config_of": list(s.partition.config_of),
-                    "gain": s.gain,
-                    "n_configurations": s.n_configurations,
-                }
-                for s in solutions
-            ],
-        )
-    return solutions
+        n = len(loops)
+        # Phase 1: global spatial partitioning over continuous area k*MaxA.
+        selection, _ = spatial_select(loops, k * max_area)
+        hw = [i for i, j in enumerate(selection) if j != 0]
 
-
-def _solutions_for_k_body(
-    loops: Sequence[HotLoop],
-    trace: Sequence[int],
-    max_area: float,
-    rho: float,
-    seed: int,
-    prune: bool,
-    k: int,
-) -> list[PartitionSolution]:
-    n = len(loops)
-    # Phase 1: global spatial partitioning over continuous area k*MaxA.
-    selection, _ = spatial_select(loops, k * max_area)
-    hw = [i for i, j in enumerate(selection) if j != 0]
-
-    candidates: list[tuple[list[int], list[int]]] = []
-    # Partition P: selected loops, weights = selected version areas.
-    if hw:
-        rcg = build_rcg(trace, hw)
-        local = {v: i for i, v in enumerate(hw)}
-        edges = {
-            (local[u], local[v]): float(w) for (u, v), w in rcg.items()
-        }
-        weights = [loops[i].versions[selection[i]].area for i in hw]
-        assign = kway_partition(
-            len(hw), edges, weights, k=min(k, len(hw)), seed=seed
-        )
-        config_of = [0] * n
-        for i, part_id in zip(hw, assign):
-            config_of[i] = part_id
-        candidates.append((list(selection), config_of))
-    # Partition P': all loops, unit weights, selection ignored.
-    rcg_all = build_rcg(trace, range(n))
-    assign_all = kway_partition(
-        n, {k2: float(v) for k2, v in rcg_all.items()}, None, k=k, seed=seed
-    )
-    candidates.append(([0] * n, list(assign_all)))
-
-    solutions: list[PartitionSolution] = []
-    for base_selection, config_of in candidates:
-        final_selection = list(base_selection)
-        parts: dict[int, list[int]] = {}
-        pool = (
-            [i for i in range(n) if base_selection[i] != 0]
-            if any(base_selection)
-            else range(n)
-        )
-        for i in pool:
-            parts.setdefault(config_of[i], []).append(i)
-        # Phase 3: local spatial partitioning per configuration.
-        for members in parts.values():
-            _local_spatial(loops, members, final_selection, max_area)
-        solutions.append(_evaluate(loops, final_selection, config_of, trace, rho))
-        if not prune:
-            continue
-        # Post-pass: demote loops whose reconfiguration cost outweighs
-        # their gain (keeps whichever variant evaluates better).
-        pruned_selection = list(final_selection)
-        _prune_to_software(loops, pruned_selection, config_of, trace, rho)
-        if pruned_selection != final_selection:
-            solutions.append(
-                _evaluate(loops, pruned_selection, config_of, trace, rho)
+        candidates: list[tuple[list[int], list[int]]] = []
+        # Partition P: selected loops, weights = selected version areas.
+        if hw:
+            rcg = build_rcg(trace, hw)
+            local = {v: i for i, v in enumerate(hw)}
+            edges = {
+                (local[u], local[v]): float(w) for (u, v), w in rcg.items()
+            }
+            weights = [loops[i].versions[selection[i]].area for i in hw]
+            assign = kway_partition(
+                len(hw), edges, weights, k=min(k, len(hw)), seed=seed
             )
-    return solutions
+            config_of = [0] * n
+            for i, part_id in zip(hw, assign):
+                config_of[i] = part_id
+            candidates.append((list(selection), config_of))
+        # Partition P': all loops, unit weights, selection ignored.
+        rcg_all = build_rcg(trace, range(n))
+        assign_all = kway_partition(
+            n, {k2: float(v) for k2, v in rcg_all.items()}, None, k=k, seed=seed
+        )
+        candidates.append(([0] * n, list(assign_all)))
+
+        solutions: list[PartitionSolution] = []
+        for base_selection, config_of in candidates:
+            final_selection = list(base_selection)
+            parts: dict[int, list[int]] = {}
+            pool = (
+                [i for i in range(n) if base_selection[i] != 0]
+                if any(base_selection)
+                else range(n)
+            )
+            for i in pool:
+                parts.setdefault(config_of[i], []).append(i)
+            # Phase 3: local spatial partitioning per configuration.
+            for members in parts.values():
+                _local_spatial(loops, members, final_selection, max_area)
+            solutions.append(
+                _evaluate(loops, final_selection, config_of, trace, rho)
+            )
+            if not prune:
+                continue
+            # Post-pass: demote loops whose reconfiguration cost outweighs
+            # their gain (keeps whichever variant evaluates better).
+            pruned_selection = list(final_selection)
+            _prune_to_software(loops, pruned_selection, config_of, trace, rho)
+            if pruned_selection != final_selection:
+                solutions.append(
+                    _evaluate(loops, pruned_selection, config_of, trace, rho)
+                )
+        return solutions
 
 
 def _k_job(
@@ -278,7 +224,6 @@ def _k_job(
         int,
         bool,
         int,
-        bool,
     ],
 ) -> list[PartitionSolution]:
     """Module-level worker so per-k jobs can be pickled."""
@@ -291,7 +236,6 @@ def iterative_partition(
     max_area: float,
     rho: float,
     seed: int = 0,
-    max_k: int | None = None,
     prune: bool = True,
     workers: int | None = None,
     use_cache: bool = True,
@@ -304,17 +248,14 @@ def iterative_partition(
         max_area: hardware area of one configuration (``MaxA``).
         rho: cost of one reconfiguration.
         seed: RNG seed for the k-way partitioner.
-        max_k: optional cap on the number of configurations explored
-            (defaults to the loop count).
         prune: run the software-demotion post-pass on each candidate
             solution (ablation switch; True in normal use).
         workers: with > 1, evaluate the per-k candidate solutions in that
             many parallel processes; the sequential ascending-k fold (and
             its early exits) is applied to the results afterwards, so the
             returned solution is identical to the serial search.
-        use_cache: memoize the final result and every per-k candidate list
-            behind content keys (loops + trace digest + parameters) in
-            :mod:`repro.cache`.
+        use_cache: memoize the final result behind a content key (loops +
+            trace digest + parameters) in :mod:`repro.cache`.
 
     Returns:
         The best :class:`PartitionSolution`.
@@ -330,7 +271,6 @@ def iterative_partition(
             max_area=max_area,
             rho=rho,
             seed=seed,
-            max_k=max_k,
             prune=prune,
         )
         cached = cache.fetch_partition(key)
@@ -344,14 +284,13 @@ def iterative_partition(
                 n_configurations=cached["n_configurations"],
             )
     loops = _cap_versions(loops, max_area)
-    limit = min(n, max_k) if max_k is not None else n
 
     jobs = [
-        (tuple(loops), tuple(trace), max_area, rho, seed, prune, k, use_cache)
-        for k in range(1, limit + 1)
+        (tuple(loops), tuple(trace), max_area, rho, seed, prune, k)
+        for k in range(1, n + 1)
     ]
-    with obs.span("reconfig.partition", loops=n, max_k=limit):
-        if workers is not None and workers > 1 and limit > 1:
+    with obs.span("reconfig.partition", loops=n):
+        if workers is not None and workers > 1 and n > 1:
             per_k = parallel_map(
                 _k_job, jobs, workers, label="partition candidates"
             )

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro import cache
-from repro.engines import ENGINES
 from repro.errors import ReproError
 
 __all__ = [
@@ -162,17 +161,6 @@ def _joint_fingerprint(programs) -> str:
     return "+".join(cache.program_fingerprint(p) for p in programs)
 
 
-def _engine_key(p: dict, kind: str) -> str:
-    """Validate the engine param and return it as its cache-key value."""
-    engine = p["engine"]
-    if engine not in ENGINES:
-        raise ReproError(
-            f"unknown {kind!r} engine {engine!r}; "
-            f"use one of {', '.join(ENGINES)}"
-        )
-    return engine
-
-
 # ----------------------------------------------------------------------
 # identify — candidate library for one benchmark program
 # ----------------------------------------------------------------------
@@ -180,7 +168,6 @@ _IDENTIFY_DEFAULTS: dict[str, Any] = {
     "benchmark": None,
     "max_inputs": 4,
     "max_outputs": 2,
-    "engine": "fast",
 }
 
 
@@ -191,16 +178,11 @@ def _resolve_identify(params: dict) -> tuple[str, dict]:
     from repro.workloads import get_program
 
     fp = cache.program_fingerprint(get_program(p["benchmark"]))
-    # Engine IS folded into the key: the engines agree on the search
-    # space but can return different candidate sets under binding
-    # budgets, so results from different engines are distinct artifacts
-    # and must not dedupe against each other.
     key = cache.artifact_key(
         fp,
         svc="identify",
         max_inputs=p["max_inputs"],
         max_outputs=p["max_outputs"],
-        engine=_engine_key(p, "identify"),
     )
     return key, p
 
@@ -214,7 +196,6 @@ def _compute_identify(params: dict) -> dict:
         get_program(params["benchmark"]),
         max_inputs=params["max_inputs"],
         max_outputs=params["max_outputs"],
-        engine=params["engine"],
         stats=stats,
     )
     candidates = lib.candidates
@@ -233,7 +214,6 @@ def _compute_identify(params: dict) -> dict:
 _CURVE_DEFAULTS: dict[str, Any] = {
     "benchmark": None,
     "objective": "avg",
-    "engine": "fast",
 }
 
 
@@ -244,12 +224,7 @@ def _resolve_curve(params: dict) -> tuple[str, dict]:
     from repro.workloads import get_program
 
     fp = cache.program_fingerprint(get_program(p["benchmark"]))
-    key = cache.artifact_key(
-        fp,
-        svc="curve",
-        objective=p["objective"],
-        engine=_engine_key(p, "curve"),
-    )
+    key = cache.artifact_key(fp, svc="curve", objective=p["objective"])
     return key, p
 
 
@@ -258,9 +233,7 @@ def _compute_curve(params: dict) -> dict:
     from repro.workloads import get_program
 
     task = build_task(
-        get_program(params["benchmark"]),
-        objective=params["objective"],
-        engine=params["engine"],
+        get_program(params["benchmark"]), objective=params["objective"]
     )
     return {
         "benchmark": params["benchmark"],
@@ -278,7 +251,6 @@ _PARETO_DEFAULTS: dict[str, Any] = {
     "benchmarks": None,
     "eps": 0.69,
     "utilization": 1.0,
-    "engine": "fast",
 }
 
 
@@ -291,7 +263,6 @@ def _resolve_pareto(params: dict) -> tuple[str, dict]:
         svc="pareto",
         eps=p["eps"],
         utilization=p["utilization"],
-        engine=_engine_key(p, "pareto"),
     )
     return key, p
 
@@ -300,9 +271,7 @@ def _compute_pareto(params: dict) -> dict:
     from repro.core.flow import build_tasks
     from repro.pareto import TaskCurve, approx_utilization_curve
 
-    tasks = build_tasks(
-        _programs(tuple(params["benchmarks"])), engine=params["engine"]
-    )
+    tasks = build_tasks(_programs(tuple(params["benchmarks"])))
     alpha = len(tasks) / params["utilization"]
     curves = [
         TaskCurve(
@@ -331,16 +300,11 @@ _MLGP_DEFAULTS: dict[str, Any] = {
     "utilization": 1.05,
     "target": 1.0,
     "seed": 0,
-    "engine": "fast",
 }
 
 
 def _resolve_mlgp(params: dict) -> tuple[str, dict]:
     p = _take(params, _MLGP_DEFAULTS, "mlgp")
-    # Validated but NOT folded into the key: the MLGP engines are
-    # bit-identical, so either engine's result deduplicates against the
-    # other's.
-    _engine_key(p, "mlgp")
     p["benchmarks"] = list(_benchmarks(p["benchmarks"], "mlgp"))
     fp = _joint_fingerprint(_programs(tuple(p["benchmarks"])))
     key = cache.artifact_key(
@@ -360,11 +324,7 @@ def _compute_mlgp(params: dict) -> dict:
     alpha = len(programs) / params["utilization"]
     periods = [alpha * p.wcet() for p in programs]
     result = iterative_customization(
-        programs,
-        periods,
-        u_target=params["target"],
-        seed=params["seed"],
-        engine=params["engine"],
+        programs, periods, u_target=params["target"], seed=params["seed"]
     )
     return {
         "benchmarks": params["benchmarks"],
@@ -484,7 +444,7 @@ _MTRECONFIG_DEFAULTS: dict[str, Any] = {
     "tasks": 12,
     "seed": 0,
     "utilization": 1.2,
-    "engine": "dp",
+    "solver": "dp",
     "fabric_area": None,
     "rho": None,
 }
@@ -515,13 +475,13 @@ def _mtreconfig_inputs(p: dict):
 
 def _resolve_mtreconfig(params: dict) -> tuple[str, dict]:
     p = _take(params, _MTRECONFIG_DEFAULTS, "mtreconfig")
-    if p["engine"] not in ("dp", "ilp", "static"):
-        raise ReproError(f"unknown mtreconfig engine {p['engine']!r}")
+    if p["solver"] not in ("dp", "ilp", "static"):
+        raise ReproError(f"unknown mtreconfig solver {p['solver']!r}")
     tasks, fabric_area, rho = _mtreconfig_inputs(p)
     key = cache.artifact_key(
         cache.reconfig_tasks_digest(tasks),
         svc="mtreconfig",
-        engine=p["engine"],
+        solver=p["solver"],
         fabric_area=fabric_area,
         rho=rho,
     )
@@ -534,10 +494,10 @@ def _compute_mtreconfig(params: dict) -> dict:
     from repro.mtreconfig import dp_solution, ilp_solution, static_solution
 
     tasks, fabric_area, rho = _mtreconfig_inputs(params)
-    if params["engine"] == "dp":
+    if params["solver"] == "dp":
         report = dp_solution(tasks, fabric_area, rho)
         solution, elapsed = report.solution, report.elapsed
-    elif params["engine"] == "ilp":
+    elif params["solver"] == "ilp":
         report = ilp_solution(tasks, fabric_area, rho)
         solution, elapsed = report.solution, report.elapsed
     else:
@@ -548,7 +508,7 @@ def _compute_mtreconfig(params: dict) -> dict:
         g for g, j in zip(solution.group_of, solution.selection) if j != 0
     })
     return {
-        "engine": params["engine"],
+        "solver": params["solver"],
         "utilization": solution.utilization,
         "schedulable": solution.utilization <= 1.0 + 1e-9,
         "n_configurations": n_configs,

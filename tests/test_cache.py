@@ -153,9 +153,11 @@ class TestTaskBuildIntegration:
         assert info["curve"]["hits"] >= 1
 
     def test_engines_cached_separately(self):
+        """The library key holds the engine: the reference oracle may
+        return another candidate set under binding visit budgets."""
         program = make_program()
-        build_task(program, engine="fast")
-        build_task(program, engine="reference")
+        build_candidate_library(program, engine="fast")
+        build_candidate_library(program, engine="reference")
         assert cache.stats()["library"]["size"] == 2
 
     def test_parallel_build_matches_serial(self):
@@ -341,6 +343,27 @@ class TestBackendsAndEviction:
         cache.set_cache_dir(None)
         assert "disk" not in cache.stats()
         assert cache.disk_stats() is None
+
+    def test_disk_entries_count_live_entries_only(self, tmp_path):
+        """Quarantined ``*.corrupt`` files and foreign files wearing the
+        entry prefix are not live entries (the sweep still ages them out
+        under the budgets)."""
+        from repro import obs
+
+        cache.set_cache_dir(tmp_path)
+        build_task(make_program())
+        live = sorted(tmp_path.glob("repro-cache-*.json"))
+        assert len(live) == 2  # one library, one curve
+        (tmp_path / (live[0].name + ".corrupt")).write_text("{torn")
+        (tmp_path / "repro-cache-deadbeef01.json").write_text("{torn")
+        stats = cache.stats()["disk"]
+        assert stats["entries"] == 2
+        assert stats["bytes"] == sum(p.stat().st_size for p in live)
+        assert obs.metrics_snapshot()["gauges"]["cache.disk.entries"] == 2
+        obs.set_gauge("cache.disk.entries", -1)
+        cache._disk_tier().sweep()  # no budget: evicts nothing
+        assert obs.metrics_snapshot()["gauges"]["cache.disk.entries"] == 2
+        assert len(list(tmp_path.glob("repro-cache-*"))) == 4
 
     def test_local_sweep_skips_while_another_process_holds_the_lock(
         self, tmp_path, monkeypatch

@@ -4,7 +4,8 @@ The two load-bearing properties (ISSUE acceptance criteria):
 
 * on >= 25 seeded task sets the degraded-mode analytic verdict
   (single-CFU-failure, fallback-to-base) agrees with the fault-injecting
-  simulator for both EDF and RMS, on both simulator engines;
+  simulator for both EDF and RMS, on both simulator engines (the
+  reference engine run directly, below the fault-analysis API);
 * simulation with an empty :class:`FaultModel` is bit-identical to the
   plain engines.
 """
@@ -69,16 +70,34 @@ class TestDegradedDifferential:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_single_fault_analysis_matches_simulation(self, seed):
+        """The analytic verdict agrees with both simulator engines: the
+        fast one through :func:`cross_validate_single_fault`, the
+        reference one run directly under the same fault and containment."""
         task_set, assignment = seeded_task_set(seed)
         for policy in ("edf", "rms"):
             for fault in range(len(task_set)):
-                for engine in ("fast", "reference"):
-                    verdict, sim, agree = cross_validate_single_fault(
-                        task_set, assignment, policy, fault, engine=engine
-                    )
-                    assert agree, (
+                verdict, fast, agree = cross_validate_single_fault(
+                    task_set, assignment, policy, fault
+                )
+                assert agree == (fast.schedulable == verdict.schedulable)
+                ref_verdict = degraded_schedulable(
+                    task_set, assignment, policy, fault
+                )
+                ref = simulate_taskset(
+                    task_set,
+                    assignment,
+                    policy="rm" if policy == "rms" else policy,
+                    engine="reference",
+                    faults=FaultModel(cfu_failed=frozenset({fault})),
+                    containment="fallback-to-base",
+                )
+                for engine, v, sim in (
+                    ("fast", verdict, fast),
+                    ("reference", ref_verdict, ref),
+                ):
+                    assert v.schedulable == sim.schedulable, (
                         f"seed={seed} policy={policy} fault={fault} "
-                        f"engine={engine}: analytic={verdict.schedulable} "
+                        f"engine={engine}: analytic={v.schedulable} "
                         f"sim={sim.schedulable}"
                     )
 

@@ -325,6 +325,22 @@ class TestIterativePartitionDifferential:
         assert cold.partition == warm.partition == uncached.partition
         assert warm.gain == uncached.gain
 
+    def test_one_disk_entry_per_search(self, tmp_path):
+        """The search memoizes its answer only: one ``partition`` entry,
+        no per-k entries."""
+        loops, trace = synthetic_loops(20, seed=20), synthetic_trace(20, seed=20)
+        cache.clear()
+        cache.set_cache_dir(tmp_path)
+        try:
+            sol = iterative_partition(loops, trace, 150.0, 400.0)
+        finally:
+            cache.reset_cache_dir()
+            cache.clear()
+        assert sol.n_configurations > 1  # the search reaches k > 1
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert len(names) == 1
+        assert names[0].startswith("repro-cache-partition-")
+
     def test_workers_match_serial_search(self, monkeypatch):
         """The per-k fan-out returns the serial search's solution and
         reports the same k-way counters (worker deltas are merged back)."""

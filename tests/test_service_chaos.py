@@ -281,19 +281,19 @@ class TestCrashRecovery:
         assert live == []
 
 
-    def test_retired_engine_replay_fails_durably(self, tmp_path):
-        # An older server accepted engines this one no longer ships
-        # ("auto" and "bitset" among them) and journaled such jobs: the
-        # new server must start healthy, fail each record terminally
-        # once, and not replay them again.
+    @staticmethod
+    def _replay_fails_durably(tmp_path, engines):
+        """Journal one ``identify`` record per engine value; the server
+        must start healthy, fail each record terminally once (the kind
+        rejects ``engine`` as an unknown parameter), and replay none of
+        them on the next start."""
         from repro import obs
 
         journal = str(tmp_path / "j.jsonl")
-        retired = ("auto", "bitset")
-        keys = [f"svc-identify-crc32-{engine}" for engine in retired]
+        keys = [f"svc-identify-crc32-{engine}" for engine in engines]
         j = JobJournal(journal, fsync_every=1)
         j.open()
-        for key, engine in zip(keys, retired):
+        for key, engine in zip(keys, engines):
             j.record_submitted(
                 key,
                 "identify",
@@ -312,21 +312,31 @@ class TestCrashRecovery:
         assert health["accepting"] is True
         assert health["counters"]["recovered"] == 0
         counters = obs.metrics_snapshot()["counters"]
-        assert counters.get("service.journal.replay_failed") == 2
+        assert counters.get("service.journal.replay_failed") == len(keys)
         with open(journal, "rb") as fh:
             records = [json.loads(line) for line in fh]
         failed = [r for r in records if r["rec"] == "failed"]
         assert sorted(r["key"] for r in failed) == sorted(keys)
         for rec in failed:
-            assert rec["key"].rsplit("-", 1)[1] in rec["error"]
+            assert "unknown parameter(s) for 'identify': engine" in rec["error"]
 
         srv2 = ServerThread(journal=journal, use_processes=False).start()
         srv2.stop()
         assert srv2.server.counters["recovered"] == 0
         counters = obs.metrics_snapshot()["counters"]
-        assert counters.get("service.journal.replay_failed") == 2
+        assert counters.get("service.journal.replay_failed") == len(keys)
         live, _ = replay_journal(journal)
         assert live == []
+
+    def test_retired_engine_replay_fails_durably(self, tmp_path):
+        # An older server accepted engines this one no longer ships
+        # ("auto" and "bitset" among them) and journaled such jobs.
+        self._replay_fails_durably(tmp_path, ("auto", "bitset"))
+
+    def test_engine_param_replay_fails_durably(self, tmp_path):
+        # Servers that still took an engine on 'identify' journaled the
+        # normalized default, engine "fast"; the kind now takes none.
+        self._replay_fails_durably(tmp_path, ("fast",))
 
 
 class TestDrain:
