@@ -76,23 +76,101 @@ def make_candidate(
     frequency: float = 1.0,
     model: HardwareCostModel = DEFAULT_COST_MODEL,
 ) -> Candidate:
-    """Build a :class:`Candidate` from a node set (assumed feasible)."""
+    """Build a :class:`Candidate` from a node set (assumed feasible).
+
+    A plain :class:`HardwareCostModel` is evaluated in the block's bit
+    space: one pass over the member bits in ascending id order reads the
+    per-node tables of :meth:`DataFlowGraph.bitset_masks` and yields the
+    cost (:meth:`HardwareCostModel.subgraph_cost`), the operand counts
+    (:meth:`DataFlowGraph.io_count`) and the structural key
+    (:func:`induced_structural_key`), equal field for field to what those
+    reference functions return.  A model subclass may override any cost
+    primitive, so it is priced through its own ``subgraph_cost``.
+    """
     node_set = nodes if isinstance(nodes, frozenset) else frozenset(nodes)
-    node_list = sorted(node_set)
-    preds = {n: [p for p in dfg.preds(n) if p in node_set] for n in node_list}
-    ops = {n: dfg.op(n) for n in node_list}
-    cost = model.subgraph_cost(node_list, preds, ops)
-    io = dfg.io_count(node_set)
+    if type(model) is not HardwareCostModel:
+        node_list = sorted(node_set)
+        preds = {n: [p for p in dfg.preds(n) if p in node_set] for n in node_list}
+        ops = {n: dfg.op(n) for n in node_list}
+        cost = model.subgraph_cost(node_list, preds, ops)
+        io = dfg.io_count(node_set)
+        return Candidate(
+            block_index=block_index,
+            nodes=node_set,
+            sw_cycles=cost.sw_cycles,
+            hw_cycles=cost.hw_cycles,
+            area=cost.area,
+            inputs=io.inputs,
+            outputs=io.outputs,
+            frequency=frequency,
+            structural_key=induced_structural_key(node_list, preds, ops),
+        )
+    m = dfg.bitset_masks()
+    pred = m.pred
+    succ = m.succ
+    live_out = m.live_out
+    ext_inp = m.external_inputs
+    op_value = m.op_value
+    sw_cycles = m.sw_cycles
+    hw_delay = m.hw_delay
+    hw_area = m.hw_area
+    mask = 0
+    for n in node_set:
+        mask |= 1 << n
+    outside = ~mask
+    sw = 0
+    areas = []
+    longest = 0.0
+    finish: dict[int, float] = {}
+    label: dict[int, tuple] = {}
+    pred_union = 0
+    live_ins = 0
+    outputs = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        n = low.bit_length() - 1
+        pm = pred[n]
+        pred_union |= pm
+        pm &= mask
+        start = 0.0
+        if pm:
+            in_labels = []
+            while pm:
+                plow = pm & -pm
+                pm ^= plow
+                p = plow.bit_length() - 1
+                t = finish[p]
+                if t > start:
+                    start = t
+                in_labels.append(label[p])
+            in_labels.sort()
+            label[n] = (op_value[n], tuple(in_labels))
+        else:
+            label[n] = (op_value[n], ())
+        end = start + hw_delay[n]
+        finish[n] = end
+        if end > longest:
+            longest = end
+        sw += sw_cycles[n]
+        areas.append(hw_area[n])
+        live_ins += ext_inp[n]
+        if live_out & low or succ[n] & outside:
+            outputs += 1
     return Candidate(
         block_index=block_index,
         nodes=node_set,
-        sw_cycles=cost.sw_cycles,
-        hw_cycles=cost.hw_cycles,
-        area=cost.area,
-        inputs=io.inputs,
-        outputs=io.outputs,
+        sw_cycles=sw,
+        hw_cycles=model.hw_cycles(longest),
+        # The builtin sum, over the same ascending order as subgraph_area:
+        # from Python 3.12 it compensates float rounding, so a running
+        # ``+=`` could differ from the reference in the last bit.
+        area=sum(areas),
+        inputs=(pred_union & outside).bit_count() + live_ins,
+        outputs=outputs,
         frequency=frequency,
-        structural_key=induced_structural_key(node_list, preds, ops),
+        structural_key=tuple(sorted(label.values())),
     )
 
 

@@ -235,23 +235,22 @@ def _build_dfg(
                 )
             if p == r.id:
                 raise FrontendError(f"node {r.id}: self-edge (cycle)")
-    order = _topo_order(records)  # raises on cycles
-    if not relabel:
-        bad = next(
-            (
-                (p, r.id)
-                for r in records
-                for p in r.preds
-                if p > r.id
-            ),
-            None,
-        )
-        if bad is not None:
+    # Ids that increase along every edge already prove the graph acyclic,
+    # and Kahn's smallest-id-first order of such a graph is 0..n-1, so
+    # only a graph with a backward edge needs the topological sort (which
+    # raises on cycles).
+    bad = next(
+        ((p, r.id) for r in records for p in r.preds if p > r.id), None
+    )
+    if bad is None:
+        order = range(n)
+    else:
+        order = _topo_order(records)
+        if not relabel:
             raise FrontendError(
                 f"node ids are not in topological order (edge {bad[0]} -> "
                 f"{bad[1]}); pass relabel=True (--relabel) to renumber"
             )
-        order = sorted(by_id)
     renum = {old: new for new, old in enumerate(order)}
     dfg = DataFlowGraph(name=name)
     for old in order:

@@ -26,7 +26,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from repro.errors import GraphError
-from repro.isa.opcodes import Opcode, is_valid_op, op_info
+from repro.isa.opcodes import OP_TABLE, Opcode, is_valid_op, op_info
 
 __all__ = ["DataFlowGraph", "DFGMasks", "IOCount", "induced_structural_key"]
 
@@ -41,7 +41,8 @@ class IOCount:
 
 @dataclass(frozen=True)
 class DFGMasks:
-    """Per-node bitmask views of a DFG, for bit-parallel subgraph queries.
+    """Per-node bitmask views of a DFG, for bit-parallel subgraph queries,
+    plus the per-node cost tables candidate costing reads beside them.
 
     Node ``n`` corresponds to bit ``1 << n``.  All masks are restricted to
     ``full`` (non-negative), so ``int.bit_count`` is always meaningful.
@@ -54,6 +55,8 @@ class DFGMasks:
         anc / desc: strict transitive ancestor / descendant mask per node.
         adj_valid: undirected adjacency restricted to valid nodes.
         external_inputs: live-in operand count per node.
+        op_value / sw_cycles / hw_delay / hw_area: each node's opcode value
+            and its :func:`~repro.isa.opcodes.op_info` cost primitives.
     """
 
     full: int
@@ -65,6 +68,17 @@ class DFGMasks:
     desc: tuple[int, ...]
     adj_valid: tuple[int, ...]
     external_inputs: tuple[int, ...]
+    op_value: tuple[str, ...]
+    sw_cycles: tuple[int, ...]
+    hw_delay: tuple[float, ...]
+    hw_area: tuple[float, ...]
+
+
+#: Each opcode's row of the :class:`DFGMasks` cost tables.
+_COST_ROW = {
+    op: (op.value, info.sw_cycles, info.hw_delay, info.hw_area)
+    for op, info in OP_TABLE.items()
+}
 
 
 @dataclass
@@ -207,7 +221,9 @@ class DataFlowGraph:
 
         Computed once per DFG in O(V·E) word operations and reused by the
         bitset enumeration engine, which replaces per-subgraph set algebra
-        with O(1) big-int operations.
+        with O(1) big-int operations, and by candidate costing
+        (:func:`repro.enumeration.patterns.make_candidate`), which reads the
+        per-node cost tables.
         """
         if self._masks is not None:
             return self._masks
@@ -242,6 +258,9 @@ class DataFlowGraph:
         adj_valid = [
             (pred[i] | succ[i]) & valid if valid >> i & 1 else 0 for i in range(n)
         ]
+        op_value, sw_cycles, hw_delay, hw_area = (
+            zip(*[_COST_ROW[nd.op] for nd in self._nodes]) if n else ((),) * 4
+        )
         self._masks = DFGMasks(
             full=full,
             valid=valid,
@@ -252,6 +271,10 @@ class DataFlowGraph:
             desc=tuple(desc),
             adj_valid=tuple(adj_valid),
             external_inputs=tuple(nd.external_inputs for nd in self._nodes),
+            op_value=op_value,
+            sw_cycles=sw_cycles,
+            hw_delay=hw_delay,
+            hw_area=hw_area,
         )
         return self._masks
 
@@ -394,7 +417,8 @@ def induced_structural_key(
 
     The single labelling rule behind :meth:`DataFlowGraph.structural_key`,
     shared with callers that already hold the induced maps (candidate
-    costing builds them anyway).
+    costing under a cost-model subclass builds them for ``subgraph_cost``;
+    the plain model's bit-space pass reproduces the rule label for label).
 
     Args:
         nodes: member ids in topological (increasing) order.

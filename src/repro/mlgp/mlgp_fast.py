@@ -53,7 +53,6 @@ from collections.abc import Sequence
 
 from repro.graphs.dfg import DataFlowGraph
 from repro.isa.costmodel import HardwareCostModel
-from repro.isa.opcodes import op_info
 
 __all__ = ["run_fast_mlgp"]
 
@@ -159,9 +158,9 @@ class _Ctx:
         # subclass may override subgraph_cost, so only a plain
         # HardwareCostModel is evaluated inline.
         self.plain_model = type(model) is HardwareCostModel
-        self.sw_cycles = [op_info(op).sw_cycles for op in self.ops]
-        self.hw_delay = [op_info(op).hw_delay for op in self.ops]
-        self.hw_area = [op_info(op).hw_area for op in self.ops]
+        self.sw_cycles = [masks.sw_cycles[g] for g in nodes]
+        self.hw_delay = [masks.hw_delay[g] for g in nodes]
+        self.hw_area = [masks.hw_area[g] for g in nodes]
         self._io_memo: dict[int, tuple[int, int]] = {}
         # comp[m] = (ext-input sum, pred union, succ union, anc union,
         # desc union, output-node mask).  The components of a union of two

@@ -456,7 +456,10 @@ class JobServer:
             )
         self.counters["submitted"] += 1
         obs.inc("service.submitted")
-        key, norm = jobs_mod.resolve_job(kind, params)
+        # Resolving parses a path-named workload to fingerprint it; the
+        # pool worker parses it again (its ``workloads.load`` span).
+        with obs.span("service.resolve", kind=kind):
+            key, norm = jobs_mod.resolve_job(kind, params)
 
         inflight = self._inflight.get(key)
         if inflight is not None:

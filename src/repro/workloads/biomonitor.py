@@ -22,7 +22,7 @@ import random
 from repro.graphs.dfg import DataFlowGraph
 from repro.graphs.program import Block, Loop, Program, Seq
 from repro.isa.opcodes import Opcode
-from repro.workloads.synthesis import OP_MIXES, synth_dfg
+from repro.workloads.synthesis import OP_MIXES, seed_for, synth_dfg
 
 __all__ = ["BIOMONITOR_KERNELS", "biomonitor_program", "biomonitor_programs"]
 
@@ -111,7 +111,7 @@ def _ptt_block(rng: random.Random, name: str) -> Block:
 def biomonitor_program(name: str, salt: int = 0) -> Program:
     """Build the program model for one bio-monitoring kernel."""
     spec = BIOMONITOR_KERNELS[name]
-    rng = random.Random(hash((name, salt)) & 0xFFFFFFFF)
+    rng = random.Random(seed_for(name, salt))
     kind = spec["kind"]
     if kind == "fir":
         body = _fir_block(rng, spec["taps"], f"{name}:fir")

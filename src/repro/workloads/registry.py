@@ -33,6 +33,7 @@ import threading
 from collections import OrderedDict
 from pathlib import Path
 
+from repro import obs
 from repro.errors import WorkloadError
 from repro.graphs.program import Block, Program
 
@@ -139,7 +140,8 @@ def _load_path(path: Path) -> Program:
         if cached is not None and cached[0] == stamp:
             _file_cache.move_to_end(key)
             return cached[1]
-    program = _parse_path(path)
+    with obs.span("workloads.load", path=key, suffix=path.suffix.lower()):
+        program = _parse_path(path)
     with _file_cache_lock:
         _file_cache[key] = (stamp, program)
         _file_cache.move_to_end(key)

@@ -14,6 +14,9 @@ the bitset engine's own answers are pinned instead:
 :class:`TestBitsetPinned` records the ordered candidate lists and all
 five counters on real Table 3.1 hot blocks, so a speed change to the
 engine cannot silently change what it returns.
+:class:`TestCandidateCosting` holds candidate costing to the same
+standard: ``make_candidate``'s bit-space pass against a construction
+from the reference cost, port and key queries.
 """
 
 from __future__ import annotations
@@ -24,7 +27,12 @@ import random
 import pytest
 
 from repro.enumeration import enumerate_connected, make_candidate
-from repro.workloads import get_program
+from repro.enumeration.library import hot_block_indices
+from repro.enumeration.patterns import Candidate
+from repro.graphs.dfg import DataFlowGraph, induced_structural_key
+from repro.isa.costmodel import HardwareCostModel
+from repro.isa.opcodes import Opcode
+from repro.workloads import CH3_TASK_SETS, get_program
 from repro.workloads.synthesis import OP_MIXES, synth_dfg
 from tests.conftest import random_small_dfg
 
@@ -260,3 +268,130 @@ class TestBitsetPinned:
             assert (cand.inputs, cand.outputs) == (io.inputs, io.outputs)
             assert cand.inputs <= 4 and cand.outputs <= 2
             assert make_candidate(dfg, sorted(nodes)) == cand
+
+
+def _reference_candidate(dfg, nodes, block_index=0, frequency=1.0, model=None):
+    """A candidate built from the reference queries: ``subgraph_cost`` on
+    the sorted induced maps, ``io_count`` and ``induced_structural_key``."""
+    model = model or HardwareCostModel()
+    node_list = sorted(nodes)
+    preds = {n: [p for p in dfg.preds(n) if p in nodes] for n in node_list}
+    ops = {n: dfg.op(n) for n in node_list}
+    cost = model.subgraph_cost(node_list, preds, ops)
+    io = dfg.io_count(nodes)
+    return Candidate(
+        block_index=block_index,
+        nodes=frozenset(nodes),
+        sw_cycles=cost.sw_cycles,
+        hw_cycles=cost.hw_cycles,
+        area=cost.area,
+        inputs=io.inputs,
+        outputs=io.outputs,
+        frequency=frequency,
+        structural_key=induced_structural_key(node_list, preds, ops),
+    )
+
+
+def _fields(c):
+    """Every field, with ``area`` compared bit for bit."""
+    return (
+        c.block_index, c.nodes, c.sw_cycles, c.hw_cycles,
+        type(c.area), float(c.area).hex(), c.inputs, c.outputs,
+        c.frequency, c.structural_key,
+    )
+
+
+def _mixed_dfg(seed: int, n: int) -> DataFlowGraph:
+    """A random block with live-outs, explicit live-in operand counts,
+    repeated-producer operands (``x*x``) and invalid (memory) nodes."""
+    rng = random.Random(seed)
+    ops = [Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.XOR, Opcode.SHL,
+           Opcode.MAC, Opcode.SELECT, Opcode.NEG, Opcode.MIN, Opcode.CONST]
+    dfg = DataFlowGraph(f"mixed{seed}")
+    for i in range(n):
+        if i and rng.random() < 0.08:
+            dfg.add_op(Opcode.LOAD, preds=[rng.randrange(i)])
+            continue
+        op = rng.choice(ops)
+        preds = [rng.randrange(i) for _ in range(rng.randint(0, 2))] if i else []
+        if preds and rng.random() < 0.2:
+            preds = [preds[0], preds[0]]  # x*x: one producer, two operands
+        ext = rng.choice((None, None, 0, 1, 3))
+        dfg.add_op(op, preds=preds, live_out=rng.random() < 0.15,
+                   external_inputs=ext)
+    return dfg
+
+
+class _SpyModel(HardwareCostModel):
+    """A subclass that counts its ``subgraph_cost`` calls."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = 0
+
+    def subgraph_cost(self, nodes, preds, node_op):
+        self.calls += 1
+        return super().subgraph_cost(nodes, preds, node_op)
+
+
+class TestCandidateCosting:
+    """``make_candidate``'s bit-space pass equals the reference
+    construction field for field, ``area`` bit for bit."""
+
+    @pytest.mark.parametrize(
+        "name", sorted({n for s in CH3_TASK_SETS.values() for n in s})
+    )
+    def test_table_3_1_hot_blocks(self, name):
+        program = get_program(name)
+        freq = program.profile()
+        hot = hot_block_indices(program)
+        assert hot
+        for i in hot:
+            dfg = program.basic_blocks[i].dfg
+            node_sets = enumerate_connected(
+                dfg, **TestBitsetPinned.LIBRARY_DEFAULTS
+            )
+            assert node_sets
+            f = freq.get(i, 0.0)
+            for nodes in node_sets:
+                got = make_candidate(dfg, nodes, block_index=i, frequency=f)
+                want = _reference_candidate(dfg, nodes, i, f)
+                assert _fields(got) == _fields(want)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("cycle_delay", [1.0, 0.45])
+    def test_random_blocks(self, seed, cycle_delay):
+        dfg = _mixed_dfg(seed, 40)
+        model = HardwareCostModel(cycle_delay)
+        node_sets = enumerate_connected(dfg, 4, 2, max_size=8)
+        assert node_sets
+        # Arbitrary member sets too: costing does not assume feasibility.
+        rng = random.Random(seed)
+        node_sets = node_sets + [
+            frozenset(rng.sample(range(len(dfg)), rng.randint(1, 9)))
+            for _ in range(50)
+        ]
+        for nodes in node_sets:
+            got = make_candidate(dfg, nodes, frequency=3.0, model=model)
+            assert _fields(got) == _fields(
+                _reference_candidate(dfg, nodes, 0, 3.0, model)
+            )
+            assert make_candidate(dfg, sorted(nodes), frequency=3.0,
+                                  model=model) == got
+
+    def test_repeated_producer_operand(self):
+        dfg = DataFlowGraph("square")
+        x = dfg.add_op(Opcode.ADD)
+        sq = dfg.add_op(Opcode.MUL, preds=[x, x], live_out=True)
+        got = make_candidate(dfg, {x, sq})
+        assert _fields(got) == _fields(_reference_candidate(dfg, {x, sq}))
+        assert (got.inputs, got.outputs) == (2 + 1, 1)
+
+    def test_subclassed_model_goes_through_subgraph_cost(self):
+        dfg = _mixed_dfg(3, 30)
+        node_sets = enumerate_connected(dfg, 4, 2, max_size=6)
+        spy = _SpyModel()
+        for nodes in node_sets:
+            got = make_candidate(dfg, nodes, model=spy)
+            assert _fields(got) == _fields(make_candidate(dfg, nodes))
+        assert spy.calls == len(node_sets)

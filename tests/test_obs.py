@@ -56,6 +56,45 @@ class TestIdentifySpans:
         assert sum(s["dur"] for s in children) <= outer["dur"]
 
 
+class TestParseSpans:
+    """Each parse of a path-named workload is one ``workloads.load`` span;
+    the server's own parse nests under ``service.resolve``."""
+
+    @staticmethod
+    def _artifact(tmp_path, program) -> Path:
+        from repro.frontend import program_to_dict
+        from repro.io import save_json
+
+        path = tmp_path / "tiny.json"
+        save_json(program_to_dict(program), path)
+        return path
+
+    def test_file_parse_is_one_span(self, tracing, tmp_path, tiny_program):
+        from repro.workloads import get_program
+
+        path = self._artifact(tmp_path, tiny_program)
+        get_program(str(path))
+        get_program(str(path))  # unchanged file: served by the file cache
+        loads = [s for s in obs.trace_spans() if s["name"] == "workloads.load"]
+        assert [s["attrs"]["path"] for s in loads] == [str(path)]
+
+    def test_server_resolve_span_holds_its_parse(
+        self, tracing, tmp_path, tiny_program
+    ):
+        from repro.service.client import ServiceClient
+        from repro.service.server import ServerThread
+
+        path = self._artifact(tmp_path, tiny_program)
+        with ServerThread(workers=1, use_processes=False) as srv:
+            with ServiceClient(**srv.address) as c:
+                c.submit("identify", {"benchmark": str(path)})
+        spans = obs.trace_spans()
+        (resolve,) = [s for s in spans if s["name"] == "service.resolve"]
+        assert resolve["attrs"]["kind"] == "identify"
+        (load,) = [s for s in spans if s["name"] == "workloads.load"]
+        assert load["parent"] == resolve["id"]
+
+
 class TestSpans:
     def test_disabled_span_is_shared_noop(self):
         assert not obs.tracing_enabled()

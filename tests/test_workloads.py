@@ -207,6 +207,31 @@ class TestBiomonitor:
             lib = build_candidate_library(program)
             assert len(lib) > 0
 
+    def test_programs_independent_of_hash_seed(self):
+        """String hashing is salted per process; the generator must not
+        depend on it, or every process builds different programs."""
+        import os
+        import subprocess
+        import sys
+
+        code = (
+            "from repro import cache\n"
+            "from repro.workloads import biomonitor_programs\n"
+            "print([cache.program_fingerprint(p) for p in biomonitor_programs()])"
+        )
+        outs = set()
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            outs.add(
+                subprocess.run(
+                    [sys.executable, "-c", code],
+                    env=env, capture_output=True, text=True, check=True,
+                ).stdout
+            )
+        assert len(outs) == 1
+        fingerprints = [cache.program_fingerprint(p) for p in biomonitor_programs()]
+        assert outs == {f"{fingerprints}\n"}
+
 
 class TestSdr:
     def test_loops_and_modes(self):
