@@ -37,7 +37,7 @@ import time
 
 from benchmarks.common import emit_json, once
 from repro import cache
-from repro.service import jobs as jobs_mod
+from repro import jobs as jobs_mod
 from repro.service.client import ServiceClient
 from repro.service.server import ServerThread
 

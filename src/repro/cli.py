@@ -24,6 +24,14 @@ Subcommands mirror the library's main flows:
   job server (:mod:`repro.service`: bounded priority queue, in-flight
   coalescing, shared result cache) and submit jobs to it.
 
+The five chapter commands ``curve``, ``pareto``, ``mlgp``, ``reconfig`` and
+``mtreconfig`` are the job kinds of :mod:`repro.jobs` run in this process:
+their flags build a params dict (an absent flag leaves its parameter out,
+so the kind's own default applies), the kind normalizes and computes it,
+and this module only formats the returned dict.  ``--workers`` is an
+execution argument passed to the computation, never a job parameter.
+The server is never imported by these commands.
+
 Library errors (:class:`repro.errors.ReproError`) are caught at the top
 level and reported as a one-line message with exit status 2 — a bad input
 never produces a traceback.
@@ -38,7 +46,7 @@ import sys
 from collections.abc import Sequence
 
 from repro import io as repro_io
-from repro import obs
+from repro import jobs, obs
 from repro.errors import ReproError
 from repro.report import (
     format_curve,
@@ -52,17 +60,32 @@ from repro.report import (
 __all__ = ["main", "build_parser"]
 
 
-def _add_obs_flags(p: argparse.ArgumentParser) -> None:
-    """Attach ``--trace``/``--metrics`` to a subparser.
+def _add_obs_flags(p: argparse.ArgumentParser, no_cache=False) -> None:
+    """Attach ``--trace``/``--metrics`` (and ``--no-cache``) to a subparser.
 
     The ``SUPPRESS`` default keeps an absent subcommand flag from
-    clobbering the top-level value (same pattern as ``--no-cache``).
+    clobbering the top-level value.
     """
     p.add_argument("--trace", metavar="FILE", default=argparse.SUPPRESS,
                    help="record a span trace of this run as JSONL")
     p.add_argument("--metrics", action="store_true",
                    default=argparse.SUPPRESS,
                    help="print the metrics registry after the run")
+    if no_cache:
+        p.add_argument("--no-cache", action="store_true",
+                       default=argparse.SUPPRESS,
+                       help="disable the artifact cache for this run")
+
+
+def _param(
+    p: argparse.ArgumentParser, kind: str, flag: str, help: str, **kw
+) -> None:
+    """A job-parameter flag.  Absent, it leaves the parameter out of the
+    request, so the default comes from the kind's table (shown in help)."""
+    default = jobs.JOB_KINDS[kind].defaults[flag[2:].replace("-", "_")]
+    if default is not None:
+        help = f"{help} (default {default})"
+    p.add_argument(flag, default=argparse.SUPPRESS, help=help, **kw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curve = sub.add_parser("curve", help="build a task's configuration curve")
     p_curve.add_argument("benchmark")
-    p_curve.add_argument("--objective", choices=("avg", "wcet"), default="avg")
+    _param(p_curve, "curve", "--objective", "task cost measure: avg or wcet")
     p_curve.add_argument("--output", help="save the task set as JSON")
     _add_obs_flags(p_curve)
 
@@ -136,14 +159,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_par = sub.add_parser("pareto", help="utilization-area Pareto curve (Ch. 4)")
     p_par.add_argument("benchmarks", nargs="+")
-    p_par.add_argument("--eps", type=float, default=0.69)
-    p_par.add_argument("--utilization", type=float, default=1.0)
+    _param(p_par, "pareto", "--eps", "approximation factor", type=float)
+    _param(p_par, "pareto", "--utilization", "software-only utilization",
+           type=float)
     p_par.add_argument("--workers", type=int, default=None,
                        help="build per-task curves in N parallel processes")
-    p_par.add_argument("--no-cache", action="store_true",
-                       default=argparse.SUPPRESS,
-                       help="disable the artifact cache for this run")
-    _add_obs_flags(p_par)
+    _add_obs_flags(p_par, no_cache=True)
 
     p_exp = sub.add_parser("explain", help="sensitivity analysis of a task set")
     p_exp.add_argument("benchmarks", nargs="+")
@@ -160,31 +181,25 @@ def build_parser() -> argparse.ArgumentParser:
         "mlgp", help="iterative custom-instruction generation (Ch. 5)"
     )
     p_mlgp.add_argument("benchmarks", nargs="+")
-    p_mlgp.add_argument("--utilization", type=float, default=1.05,
-                        help="software-only utilization of the task set "
-                             "(default 1.05)")
-    p_mlgp.add_argument("--target", type=float, default=1.0,
-                        help="utilization target to customize down to "
-                             "(default 1.0)")
-    p_mlgp.add_argument("--seed", type=int, default=0,
-                        help="MLGP seed (default 0)")
-    p_mlgp.add_argument("--no-cache", action="store_true",
-                        default=argparse.SUPPRESS,
-                        help="disable the artifact cache for this run")
-    _add_obs_flags(p_mlgp)
+    _param(p_mlgp, "mlgp", "--utilization",
+           "software-only utilization of the task set", type=float)
+    _param(p_mlgp, "mlgp", "--target",
+           "utilization target to customize down to", type=float)
+    _param(p_mlgp, "mlgp", "--seed", "MLGP seed", type=int)
+    _add_obs_flags(p_mlgp, no_cache=True)
 
     p_rec = sub.add_parser("reconfig", help="hot-loop partitioning (Ch. 6)")
     p_rec.add_argument("--input", help="hot-loops JSON (default: JPEG case study)")
-    p_rec.add_argument("--max-area", type=float, default=None)
-    p_rec.add_argument("--rho", type=float, default=None)
-    p_rec.add_argument("--seed", type=int, default=0,
-                       help="k-way partitioner seed (default 0)")
+    _param(p_rec, "reconfig", "--max-area",
+           "area of one configuration (default: JPEG's, or 2048 for an "
+           "input file)", type=float)
+    _param(p_rec, "reconfig", "--rho",
+           "reconfiguration cost (default: JPEG's, or 15 for an input "
+           "file)", type=float)
+    _param(p_rec, "reconfig", "--seed", "k-way partitioner seed", type=int)
     p_rec.add_argument("--workers", type=int, default=None,
                        help="evaluate per-k partitions in N parallel processes")
-    p_rec.add_argument("--no-cache", action="store_true",
-                       default=argparse.SUPPRESS,
-                       help="disable the artifact cache for this run")
-    _add_obs_flags(p_rec)
+    _add_obs_flags(p_rec, no_cache=True)
 
     p_mt = sub.add_parser(
         "mtreconfig",
@@ -193,26 +208,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_mt.add_argument("benchmarks", nargs="*",
                       help="constituent tasks (default: a seeded synthetic "
                            "task set)")
-    p_mt.add_argument("--solver", choices=("dp", "ilp", "static"),
-                      default="dp", help="solver (default dp)")
-    p_mt.add_argument("--fabric-area", type=float, default=None,
-                      help="area of one fabric configuration (default: "
-                           "2x the largest version)")
-    p_mt.add_argument("--rho", type=float, default=None,
-                      help="reconfiguration cost (default: 1%% of the "
-                           "shortest period)")
-    p_mt.add_argument("--utilization", type=float, default=1.2,
-                      help="software-only utilization of the task set "
-                           "(default 1.2)")
-    p_mt.add_argument("--tasks", type=int, default=12,
-                      help="synthetic task count when no benchmarks are "
-                           "given (default 12)")
-    p_mt.add_argument("--seed", type=int, default=0,
-                      help="seed of the synthetic task set (default 0)")
-    p_mt.add_argument("--no-cache", action="store_true",
-                      default=argparse.SUPPRESS,
-                      help="disable the artifact cache for this run")
-    _add_obs_flags(p_mt)
+    _param(p_mt, "mtreconfig", "--solver", "solver: dp, ilp or static")
+    _param(p_mt, "mtreconfig", "--fabric-area",
+           "area of one fabric configuration (default: 2x the largest "
+           "version)", type=float)
+    _param(p_mt, "mtreconfig", "--rho",
+           "reconfiguration cost (default: 1%% of the shortest period)",
+           type=float)
+    _param(p_mt, "mtreconfig", "--utilization",
+           "software-only utilization of the task set", type=float)
+    _param(p_mt, "mtreconfig", "--tasks",
+           "synthetic task count when no benchmarks are given", type=int)
+    _param(p_mt, "mtreconfig", "--seed", "seed of the synthetic task set",
+           type=int)
+    _add_obs_flags(p_mt, no_cache=True)
 
     p_flt = sub.add_parser(
         "faults",
@@ -320,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_benchmarks() -> int:
+def _cmd_benchmarks(args: argparse.Namespace) -> int:
     from repro.workloads import BENCHMARKS
 
     rows = []
@@ -428,19 +437,37 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_curve(args: argparse.Namespace) -> int:
-    from repro.core import build_task
-    from repro.rtsched.task import TaskSet
-    from repro.workloads import get_program
+def _run_kind(args: argparse.Namespace) -> int:
+    """Run a chapter command's job kind in this process; format the result."""
+    kind = args.command
+    defaults = jobs.JOB_KINDS[kind].defaults
+    params = {k: v for k, v in vars(args).items() if k in defaults}
+    if getattr(args, "input", None):
+        params["loops"] = repro_io.load_json(args.input)
+    options = {"workers": args.workers} if "workers" in args else {}
+    p = jobs.normalize_job(kind, params)
+    return _SHOW[kind](args, p, jobs.compute_job(kind, p, **options))
 
-    task = build_task(get_program(args.benchmark), objective=args.objective)
-    xs = [c.area for c in task.configurations]
-    ys = [c.cycles for c in task.configurations]
-    print(f"configuration curve for {args.benchmark} ({args.objective}):")
+
+def _show_curve(args: argparse.Namespace, p: dict, r: dict) -> int:
+    from repro.rtsched.task import PeriodicTask, TaskSet
+    from repro.selection.config_curve import TaskConfiguration
+
+    xs = [a for a, _ in r["configurations"]]
+    ys = [c for _, c in r["configurations"]]
+    print(f"configuration curve for {p['benchmark']} ({p['objective']}):")
     print(format_curve(xs, ys, "area(adders)", "cycles"))
     if args.output:
+        task = PeriodicTask(
+            name=r["name"],
+            period=r["period"],
+            wcet=r["wcet"],
+            configurations=tuple(
+                TaskConfiguration(area=a, cycles=c) for a, c in zip(xs, ys)
+            ),
+        )
         repro_io.save_json(
-            repro_io.task_set_to_dict(TaskSet([task], name=args.benchmark)),
+            repro_io.task_set_to_dict(TaskSet([task], name=p["benchmark"])),
             args.output,
         )
         print(f"saved to {args.output}")
@@ -492,27 +519,12 @@ def _cmd_customize(args: argparse.Namespace) -> int:
     return 0 if result.schedulable else 1
 
 
-def _cmd_pareto(args: argparse.Namespace) -> int:
-    from repro.core.flow import build_tasks
-    from repro.pareto import TaskCurve, approx_utilization_curve
-    from repro.workloads import programs_for
-
-    programs = programs_for(tuple(args.benchmarks))
-    tasks = build_tasks(programs, workers=args.workers)
-    alpha = len(tasks) / args.utilization
-    curves = [
-        TaskCurve(
-            period=alpha * t.wcet,
-            workloads=tuple(c.cycles for c in t.configurations),
-            areas=tuple(round(c.area) for c in t.configurations),
-        )
-        for t in tasks
-    ]
-    front = approx_utilization_curve(curves, args.eps)
-    print(f"eps={args.eps} utilization-area Pareto curve "
-          f"({len(front)} points):")
+def _show_pareto(args: argparse.Namespace, p: dict, r: dict) -> int:
+    points = r["points"]
+    print(f"eps={r['eps']} utilization-area Pareto curve "
+          f"({r['n_points']} points):")
     print(format_curve(
-        [p.cost for p in front], [p.value for p in front],
+        [q["area"] for q in points], [q["utilization"] for q in points],
         "area(adders)", "utilization",
     ))
     return 0
@@ -564,124 +576,65 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_mlgp(args: argparse.Namespace) -> int:
-    from repro.mlgp.flow import iterative_customization
-    from repro.workloads import programs_for
-
-    programs = programs_for(tuple(args.benchmarks))
-    sw_wcets = [p.wcet() for p in programs]
-    alpha = len(programs) / args.utilization
-    periods = [alpha * w for w in sw_wcets]
-    result = iterative_customization(
-        programs, periods, u_target=args.target, seed=args.seed
-    )
+def _show_mlgp(args: argparse.Namespace, p: dict, r: dict) -> int:
     rows = [
-        (r.iteration, r.task, f"{r.utilization:.4f}", r.new_cis,
-         f"{r.elapsed:.2f}s")
-        for r in result.records
+        (x["iteration"], x["task"], f"{x['utilization']:.4f}", x["new_cis"],
+         f"{x['elapsed']:.2f}s")
+        for x in r["records"]
     ]
     print(format_table(
         ["iteration", "task", "utilization", "new CIs", "elapsed"], rows
     ))
-    print(f"final utilization {result.utilization:.4f} "
-          f"(target {result.target}) — "
-          f"{len(result.custom_instructions)} custom instructions, "
-          f"shared area {result.total_area:.1f} adders")
-    return 0 if result.met_target else 1
+    print(f"final utilization {r['utilization']:.4f} "
+          f"(target {r['target']}) — "
+          f"{r['n_custom_instructions']} custom instructions, "
+          f"shared area {r['total_area']:.1f} adders")
+    return 0 if r["met_target"] else 1
 
 
-def _cmd_reconfig(args: argparse.Namespace) -> int:
-    from repro.reconfig import greedy_partition, iterative_partition
+def _print_placement(entries: list[dict]) -> None:
+    for e in entries:
+        where = "software" if e["config"] is None else f"config {e['config']}"
+        print(f"  {e['name']}: version {e['version']} -> {where}")
 
-    if args.input:
-        loops, trace = repro_io.hot_loops_from_dict(repro_io.load_json(args.input))
-        if not trace:
-            print("error: the input file carries no loop trace", file=sys.stderr)
-            return 2
-        max_area = args.max_area if args.max_area is not None else 2048.0
-        rho = args.rho if args.rho is not None else 15.0
-    else:
-        from repro.workloads import JPEG_MAX_AREA, JPEG_RHO, jpeg_loops, jpeg_trace
 
-        loops, trace = jpeg_loops(), jpeg_trace()
-        max_area = args.max_area if args.max_area is not None else JPEG_MAX_AREA
-        rho = args.rho if args.rho is not None else JPEG_RHO
-    it = iterative_partition(
-        loops, trace, max_area, rho, seed=args.seed, workers=args.workers
-    )
-    gr = greedy_partition(loops, trace, max_area, rho)
+def _show_reconfig(args: argparse.Namespace, p: dict, r: dict) -> int:
     print(format_table(
         ["algorithm", "net gain", "configurations"],
         [
-            ("iterative", it.gain, it.n_configurations),
-            ("greedy", gr.gain, gr.n_configurations),
+            ("iterative", r["gain"], r["n_configurations"]),
+            ("greedy", r["greedy_gain"], r["greedy_n_configurations"]),
         ],
     ))
-    for i, lp in enumerate(loops):
-        j = it.partition.selection[i]
-        where = (
-            f"config {it.partition.config_of[i]}" if j != 0 else "software"
-        )
-        print(f"  {lp.name}: version {j} -> {where}")
+    _print_placement(r["loops"])
     return 0
 
 
-def _cmd_mtreconfig(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.mtreconfig import (
-        dp_solution,
-        ilp_solution,
-        static_solution,
-        synthetic_reconfig_tasks,
-        tasks_from_benchmarks,
-    )
-
-    if args.benchmarks:
-        tasks = tasks_from_benchmarks(
-            tuple(args.benchmarks), target_utilization=args.utilization
-        )
-    else:
-        tasks = synthetic_reconfig_tasks(
-            args.tasks, seed=args.seed, target_utilization=args.utilization
-        )
-    fabric_area = args.fabric_area
-    if fabric_area is None:
-        fabric_area = 2.0 * max(
-            (v.area for t in tasks for v in t.versions), default=1.0
-        )
-    rho = args.rho
-    if rho is None:
-        rho = 0.01 * min((t.period for t in tasks), default=1.0)
-    if args.solver == "dp":
-        report = dp_solution(tasks, fabric_area, rho)
-        solution, elapsed = report.solution, report.elapsed
-    elif args.solver == "ilp":
-        report = ilp_solution(tasks, fabric_area, rho)
-        solution, elapsed = report.solution, report.elapsed
-    else:
-        t0 = time.perf_counter()
-        solution = static_solution(tasks, fabric_area, rho=rho)
-        elapsed = time.perf_counter() - t0
-    n_configs = len({
-        g for g, j in zip(solution.group_of, solution.selection) if j != 0
-    })
+def _show_mtreconfig(args: argparse.Namespace, p: dict, r: dict) -> int:
     print(format_table(
         ["metric", "value"],
         [
-            ("solver", args.solver),
-            ("fabric area", fabric_area),
-            ("rho", rho),
-            ("utilization", f"{solution.utilization:.4f}"),
-            ("schedulable", solution.utilization <= 1.0 + 1e-9),
-            ("configurations", n_configs),
-            ("elapsed", f"{elapsed * 1e3:.1f}ms"),
+            ("solver", r["solver"]),
+            ("fabric area", r["fabric_area"]),
+            ("rho", r["rho"]),
+            ("utilization", f"{r['utilization']:.4f}"),
+            ("schedulable", r["schedulable"]),
+            ("configurations", r["n_configurations"]),
+            ("elapsed", f"{r['elapsed'] * 1e3:.1f}ms"),
         ],
     ))
-    for t, j, g in zip(tasks, solution.selection, solution.group_of):
-        where = f"config {g}" if j != 0 else "software"
-        print(f"  {t.name}: version {j} -> {where}")
-    return 0 if solution.utilization <= 1.0 + 1e-9 else 1
+    _print_placement(r["tasks"])
+    return 0 if r["schedulable"] else 1
+
+
+#: The chapter commands' formatters, keyed by job kind (= subcommand).
+_SHOW = {
+    "curve": _show_curve,
+    "pareto": _show_pareto,
+    "mlgp": _show_mlgp,
+    "reconfig": _show_reconfig,
+    "mtreconfig": _show_mtreconfig,
+}
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
@@ -789,19 +742,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Which parameter the positional benchmark names of ``repro submit``
-#: feed, per job kind.  ``reconfig`` normally takes hot loops via
-#: ``--params``; positional names derive loops from benchmark curves.
-_SUBMIT_BENCH_PARAM = {
-    "identify": "benchmark",
-    "curve": "benchmark",
-    "pareto": "benchmarks",
-    "mlgp": "benchmarks",
-    "reconfig": "benchmarks",
-    "mtreconfig": "benchmarks",
-}
-
-
 def _cmd_submit(args: argparse.Namespace) -> int:
     import json as json_mod
     import time
@@ -846,15 +786,18 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
         params: dict = {}
         if args.benchmarks:
-            slot = _SUBMIT_BENCH_PARAM.get(args.kind)
-            if slot == "benchmark":
+            # The positional names feed the kind's benchmark parameter;
+            # custom kinds have no defaults table and take --params only.
+            jk = jobs.JOB_KINDS.get(args.kind)
+            slots = (jk and jk.defaults) or {}
+            if "benchmark" in slots:
                 if len(args.benchmarks) > 1:
                     raise ReproError(
                         f"{args.kind} takes a single benchmark, got "
                         f"{len(args.benchmarks)}"
                     )
                 params["benchmark"] = args.benchmarks[0]
-            elif slot == "benchmarks":
+            elif "benchmarks" in slots:
                 params["benchmarks"] = list(args.benchmarks)
             else:
                 raise ReproError(
@@ -910,36 +853,18 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "benchmarks":
-        return _cmd_benchmarks()
-    if args.command == "ingest":
-        return _cmd_ingest(args)
-    if args.command == "curve":
-        return _cmd_curve(args)
-    if args.command == "customize":
-        return _cmd_customize(args)
-    if args.command == "pareto":
-        return _cmd_pareto(args)
-    if args.command == "explain":
-        return _cmd_explain(args)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    if args.command == "mlgp":
-        return _cmd_mlgp(args)
-    if args.command == "reconfig":
-        return _cmd_reconfig(args)
-    if args.command == "mtreconfig":
-        return _cmd_mtreconfig(args)
-    if args.command == "faults":
-        return _cmd_faults(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "submit":
-        return _cmd_submit(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+_COMMANDS = {
+    "benchmarks": _cmd_benchmarks,
+    "ingest": _cmd_ingest,
+    "customize": _cmd_customize,
+    "explain": _cmd_explain,
+    "validate": _cmd_validate,
+    "faults": _cmd_faults,
+    "serve": _cmd_serve,
+    "submit": _cmd_submit,
+    "trace": _cmd_trace,
+    **{kind: _run_kind for kind in _SHOW},
+}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -962,7 +887,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         obs.enable_tracing()
     try:
         with obs.span("cli", command=args.command):
-            code = _dispatch(args)
+            code = _COMMANDS[args.command](args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2

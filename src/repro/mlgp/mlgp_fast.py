@@ -339,12 +339,13 @@ class _Ctx:
         if self.plain_model:
             # Inlined subgraph_cost: identical summation/DP order (node
             # ids ascending, the reference's sorted order), so the floats
-            # match the reference engine bit for bit.
+            # match the reference engine bit for bit.  Areas go through
+            # the builtin sum, as in subgraph_area: from Python 3.12 it
+            # compensates rounding, which a running ``+=`` would not.
             sw = 0
-            area = 0.0
+            areas = []
             longest = 0.0
             finish: dict[int, float] = {}
-            count = 0
             rest = m
             while rest:
                 low = rest & -rest
@@ -363,10 +364,12 @@ class _Ctx:
                 if end > longest:
                     longest = end
                 sw += self.sw_cycles[n]
-                area += self.hw_area[n]
-                count += 1
-            gain = float(sw - self.model.hw_cycles(longest)) if count > 1 else 0.0
-            r = (gain, area)
+                areas.append(self.hw_area[n])
+            gain = (
+                float(sw - self.model.hw_cycles(longest))
+                if len(areas) > 1 else 0.0
+            )
+            r = (gain, sum(areas))
         else:
             local = _bits(m)
             nodes = [self.nodes[i] for i in local]

@@ -7,14 +7,12 @@ through the cold disk cache.  This package wraps the pipeline in a
 long-running asyncio **job server** so heavy multi-tenant traffic turns
 into cache hits:
 
-* :mod:`repro.service.jobs` — the request-type registry: one
+* :mod:`repro.jobs` (re-exported here) — the request-type registry: one
   ``identify`` / ``curve`` / ``pareto`` / ``mlgp`` / ``reconfig`` /
-  ``mtreconfig`` job kind per pipeline flow, each with a cheap *resolve*
-  step that derives a **content-addressed dedup key** from the existing
-  cache digests (:func:`repro.cache.program_fingerprint`,
-  :func:`~repro.cache.hot_loops_digest`,
-  :func:`~repro.cache.reconfig_tasks_digest`) and a picklable *compute*
-  step that runs the flow;
+  ``mtreconfig`` job kind per pipeline flow, each owning its defaults,
+  validation, **content-addressed dedup key** (from the existing cache
+  digests) and picklable *compute* step.  The chapter CLI commands run
+  the same kinds in-process; the server keys, queues and caches them;
 * :mod:`repro.service.server` — :class:`~repro.service.server.JobServer`:
   a bounded priority queue, a process-backed worker pool with
   :mod:`repro.parallel`'s degradation semantics, **in-flight coalescing**
@@ -45,14 +43,17 @@ from repro.service.client import (
     ServiceBusyError,
     ServiceClient,
 )
-from repro.service.jobs import (
+from repro.jobs import (
     JOB_KINDS,
     compute_job,
-    journal_safe_params,
     register_kind,
     resolve_job,
 )
-from repro.service.journal import JobJournal, replay_journal
+from repro.service.journal import (
+    JobJournal,
+    journal_safe_params,
+    replay_journal,
+)
 from repro.service.server import (
     DrainingError,
     JobServer,

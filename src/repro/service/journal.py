@@ -50,14 +50,32 @@ from typing import Any
 
 from repro import obs
 from repro.errors import ReproError
-from repro.service.jobs import journal_safe_params
 
-__all__ = ["JobJournal", "replay_journal"]
+__all__ = ["JobJournal", "journal_safe_params", "replay_journal"]
 
 logger = logging.getLogger("repro.service")
 
 _TERMINAL = ("done", "failed")
 _REC_NAMES = ("submitted", "started", "done", "failed")
+
+
+def journal_safe_params(params: dict) -> dict:
+    """Canonicalize *params* through a JSON round-trip for the journal.
+
+    The journal replays ``(kind, params)`` pairs across a server
+    restart, so journaled params must survive JSON serialization *and*
+    resolve to the same content key when loaded back (tuples come back
+    as lists — the built-in kinds normalize to JSON types).  Raises
+    :class:`~repro.errors.ReproError` for params a journal could not
+    faithfully replay (sets, objects, NaN...), so the caller can degrade
+    to a non-durable job instead of corrupting the journal.
+    """
+    try:
+        return json.loads(json.dumps(params, sort_keys=True, allow_nan=False))
+    except (TypeError, ValueError) as exc:
+        raise ReproError(
+            f"job params are not JSON-serializable for the journal: {exc}"
+        ) from exc
 
 
 def _valid_record(rec: Any) -> bool:

@@ -4,7 +4,7 @@ Request lifecycle
 -----------------
 
 ``submit(kind, params, priority)`` resolves the request to its
-content-addressed key (:func:`repro.service.jobs.resolve_job`) and then
+content-addressed key (:func:`repro.jobs.resolve_job`) and then
 dedupes **twice** before any work is queued:
 
 1. **in-flight coalescing** — an identical request already queued or
@@ -36,7 +36,7 @@ fails with a labelled timeout (counter ``service.timeouts``); it is
 never silently extended and never mistaken for a pool failure.
 
 Pool workers capture their :mod:`repro.obs` spans and metric deltas
-(:func:`repro.service.jobs._pool_entry`); the server merges them on
+(:func:`_pool_entry`); the server merges them on
 completion, so worker cache-hit counters and per-stage spans stay visible
 in the server's ``--trace``/``--metrics`` view and each job's ``spans``
 event streams the per-stage timings to watchers.
@@ -86,8 +86,8 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any
 
 from repro import cache, obs, parallel
+from repro import jobs as jobs_mod
 from repro.errors import ReproError
-from repro.service import jobs as jobs_mod
 from repro.service.journal import JobJournal
 
 __all__ = [
@@ -115,6 +115,18 @@ _HANDOFF_CYCLES = 4
 #: Jobs remembered for ``status``/``jobs``/``watch`` lookups; beyond this
 #: many the oldest terminal ones are forgotten (results stay cached).
 _HISTORY = 1024
+
+
+def _pool_entry(spec: tuple[str, dict]) -> tuple[dict, dict]:
+    """Process-pool wrapper: compute plus the worker's obs payload.
+
+    Mirrors :func:`repro.parallel._captured_job`: the worker captures its
+    spans and metric deltas so the server can merge them into its own
+    trace/metrics view (cache hit counters from workers stay visible).
+    """
+    obs.begin_child_capture()
+    result = jobs_mod.compute_job(*spec)
+    return result, obs.end_child_capture()
 
 
 class QueueFullError(ReproError):
@@ -274,7 +286,7 @@ class JobServer:
         self._journal = journal
         for rec in replayed:
             try:
-                await self.submit(
+                job, _ = await self.submit(
                     rec["kind"],
                     rec["params"],
                     priority=int(rec.get("priority", 0)),
@@ -294,6 +306,15 @@ class JobServer:
                 )
                 journal.record_failed(rec["key"], f"replay failed: {exc}")
             else:
+                if job.key != rec["key"]:
+                    # The kind's key changed since this record was
+                    # written (its result layout grew): move the record
+                    # to the new key so it turns terminal.
+                    if job.state not in _DONE_STATES:
+                        journal.record_submitted(
+                            job.key, job.kind, job.params, job.priority
+                        )
+                    journal.record_done(rec["key"], source="rekeyed")
                 self.counters["recovered"] += 1
                 obs.inc("service.recovered")
         if replayed:
@@ -635,7 +656,7 @@ class JobServer:
                         result, payload = await self._await(
                             loop.run_in_executor(
                                 pool,
-                                jobs_mod._pool_entry,
+                                _pool_entry,
                                 (job.kind, job.params),
                             ),
                             deadline,

@@ -186,7 +186,7 @@ def _assert_rejected(surface, target, engine, capsys):
         with pytest.raises(TypeError, match="engine"):
             target(engine)
     elif surface == "service":
-        from repro.service.jobs import resolve_job
+        from repro.jobs import resolve_job
 
         kind, params = target
         with pytest.raises(ReproError, match="unknown parameter.*engine"):
@@ -235,7 +235,7 @@ def test_implementation_points_accept_both_engines(name, engine):
 
 def test_reconfig_takes_no_engine(capsys):
     from repro.cli import main
-    from repro.service.jobs import resolve_job
+    from repro.jobs import resolve_job
 
     with pytest.raises(ReproError, match="unknown parameter.*engine"):
         resolve_job("reconfig", {"engine": "fast"})
@@ -247,7 +247,7 @@ def test_reconfig_takes_no_engine(capsys):
 
 def test_mtreconfig_picks_a_solver_not_an_engine(capsys):
     from repro.cli import main
-    from repro.service.jobs import compute_job, resolve_job
+    from repro.jobs import compute_job, resolve_job
 
     assert main(["mtreconfig", "--tasks", "4", "--solver", "static"]) in (0, 1)
     assert "solver          static" in capsys.readouterr().out

@@ -635,7 +635,7 @@ class TestIngestCli:
 class TestServiceJobs:
     def test_identify_and_curve_on_ingested_path(self, tmp_path):
         from repro.io import save_json
-        from repro.service.jobs import compute_job, resolve_job
+        from repro.jobs import compute_job, resolve_job
 
         p = ingest_source(KERNEL_SRC, filename="fir.py")
         path = tmp_path / "fir.json"
@@ -653,7 +653,7 @@ class TestServiceJobs:
 
     def test_identify_key_is_content_addressed(self, tmp_path):
         from repro.io import save_json
-        from repro.service.jobs import resolve_job
+        from repro.jobs import resolve_job
 
         p = ingest_source(KERNEL_SRC, filename="fir.py")
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -664,7 +664,7 @@ class TestServiceJobs:
         assert key_a == key_b  # same content, different paths -> same job
 
     def test_reconfig_from_benchmarks(self):
-        from repro.service.jobs import compute_job, resolve_job
+        from repro.jobs import compute_job, resolve_job
 
         p = ingest_source(
             "def tiny(a, b):\n"
@@ -680,7 +680,7 @@ class TestServiceJobs:
         assert "gain" in result and "selection" in result
 
     def test_reconfig_rejects_loops_and_benchmarks(self):
-        from repro.service.jobs import resolve_job
+        from repro.jobs import resolve_job
 
         with pytest.raises(ReproError, match="either"):
             resolve_job(

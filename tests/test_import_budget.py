@@ -81,3 +81,37 @@ def test_entry_points_do_not_import_scipy_or_networkx():
     # The deferred import path still works from a cold process.
     assert report["optimize_after_ilp"] is True
     assert report["selection"] == [0]
+
+
+#: Modules a chapter command must not load: the job server, its client
+#: and the event loop behind them.
+SERVER_ONLY = ("repro.service.server", "repro.service.client", "asyncio")
+
+_CHAPTER_CHILD = f"""
+import json, runpy, sys
+
+sys.argv = ["repro", "--no-cache", "curve", "crc32"]
+try:
+    runpy.run_module("repro", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({{
+    "code": code,
+    "loaded": sorted(m for m in {SERVER_ONLY!r} if m in sys.modules),
+}}))
+"""
+
+
+def test_chapter_command_does_not_load_the_server():
+    env = os.environ.copy()
+    env["PYTHONPATH"] = str(SRC)
+    result = subprocess.run(
+        [sys.executable, "-c", _CHAPTER_CHILD],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    report = json.loads(result.stdout.strip().splitlines()[-1])
+    assert report == {"code": 0, "loaded": []}

@@ -26,13 +26,14 @@ from repro.isa.costmodel import HardwareCostModel
 from repro.isa.opcodes import Opcode
 from repro.mlgp.flow import iterative_customization, mlgp_program_profile
 from repro.mlgp.mlgp import mlgp_partition
+from repro.mlgp.mlgp_fast import _Ctx
 from repro.mtreconfig.dp import dp_solution
 from repro.mtreconfig.model import ReconfigTask, TaskVersion
 from repro.mtreconfig.workload import synthetic_reconfig_tasks
 from repro.reconfig.extract import extract_hot_loops
 from repro.reconfig.iterative import iterative_partition
 from repro.reconfig.kwaypart import edge_cut, kway_partition
-from repro.workloads import get_program
+from repro.workloads import CH3_TASK_SETS, get_program
 from repro.workloads.loops import synthetic_loops, synthetic_trace
 from tests.conftest import random_small_dfg
 
@@ -150,6 +151,33 @@ class TestMlgpDifferential:
         counters = obs.metrics_snapshot()["counters"]
         assert "mlgp.moves" in counters
         assert "mlgp.repairs" in counters
+
+    def test_ctx_cost_area_is_subgraph_area_bit_for_bit(self):
+        """The fast engine's area is the reference's builtin ``sum`` over
+        ascending node ids, on every Table 3.1 region: whole and in seeded
+        subsets.  (A running ``+=`` agrees with ``sum`` before Python
+        3.12; from 3.12 ``sum`` compensates rounding.)"""
+        model = HardwareCostModel()
+        rng = random.Random(31)
+        names = sorted({n for s in CH3_TASK_SETS.values() for n in s})
+        checked = 0
+        for name in names:
+            for blk in get_program(name).basic_blocks:
+                dfg = blk.dfg
+                for region in dfg.regions():
+                    ctx = _Ctx(dfg, region, 4, 2, model)
+                    subsets = [region] + [
+                        rng.sample(region, rng.randint(1, len(region)))
+                        for _ in range(4)
+                    ]
+                    for nodes in subsets:
+                        m = 0
+                        for g in nodes:
+                            m |= 1 << ctx.region_pos[region.index(g)]
+                        ops = [dfg.op(g) for g in sorted(nodes)]
+                        assert ctx.cost(m)[1] == model.subgraph_area(ops)
+                        checked += 1
+        assert checked > 100
 
 
 def _random_graph(rng: random.Random, n: int, density: float = 0.08):

@@ -18,7 +18,7 @@ import pytest
 
 from repro import cache
 from repro.errors import ReproError
-from repro.service import jobs as jobs_mod
+from repro import jobs as jobs_mod
 from repro.service.client import (
     ConnectionLostError,
     ServiceClient,
@@ -586,6 +586,17 @@ class TestJobKinds:
         assert k1 == k2
         assert len({k1, k3, k4}) == 3
         assert p1["objective"] == "avg"  # defaults are normalized in
+
+    def test_reconfig_key_names_the_resolved_area_and_rho(self):
+        """Spelling out the defaults is the same job (benchmark-derived
+        loops default to MaxA 2048 and rho 15)."""
+        bench = {"benchmarks": ["crc32"]}
+        explicit = dict(bench, max_area=2048.0, rho=15.0)
+        assert (
+            jobs_mod.resolve_job("reconfig", bench)[0]
+            == jobs_mod.resolve_job("reconfig", explicit)[0]
+            != jobs_mod.resolve_job("reconfig", dict(bench, rho=16.0))[0]
+        )
 
     def test_every_builtin_kind_resolves(self):
         for kind in ("identify", "curve", "pareto", "mlgp", "mtreconfig"):

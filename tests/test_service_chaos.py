@@ -33,7 +33,7 @@ import pytest
 
 from repro import cache, parallel
 from repro.errors import ReproError
-from repro.service import jobs as jobs_mod
+from repro import jobs as jobs_mod
 from repro.service.client import ServiceClient
 from repro.service.journal import JobJournal, replay_journal
 from repro.service.server import ServerThread
@@ -574,7 +574,7 @@ _LAUNCHER = """\
 import sys
 sys.path.insert(0, sys.argv.pop(1))
 import time
-from repro.service import jobs
+from repro import jobs
 
 def _resolve(params):
     x = int(params.get("x", 0))
