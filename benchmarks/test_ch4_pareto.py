@@ -33,7 +33,7 @@ EPSILONS = (0.21, 0.44, 0.69, 3.0)
 GATES_PER_ADDER = 50
 
 
-def _intra_options(name: str, cap: int = 60) -> tuple[float, list[CIOption]]:
+def intra_options(name: str, cap: int = 60) -> tuple[float, list[CIOption]]:
     """Per-task CI options (workload delta, integer area) for the intra stage."""
     program = get_program(name)
     library = build_candidate_library(program)
@@ -114,7 +114,7 @@ def test_figure_4_4a(benchmark):
     """Exact vs ε-approximate workload-area curves for g721decode."""
 
     def run():
-        base, options = _intra_options("g721decode")
+        base, options = intra_options("g721decode")
         exact = exact_workload_curve(base, options)
         lines = [f"exact points: {len(exact)}"]
         for eps in (0.69, 3.0):

@@ -1,196 +1,160 @@
-"""Identification-pipeline speed harness (perf trajectory for future PRs).
+"""Identification-stage perf rows on the Figure 3.3 workload (the unique
+programs of the six Chapter 3 task sets), written to
+``benchmarks/results/BENCH_identification.json``.
 
-Times the identification → configuration-curve → selection pipeline on the
-Figure 3.3 workload (the unique programs of the six Chapter 3 task sets)
-under these setups, every ``*_cold`` row starting from emptied artifact
-caches (library, curve and selection alike), so their ``total_seconds``
-compare like with like:
+Engine rows (fast vs reference, uncached), both from the same library
+builds:
 
-* ``reference_cold`` — the original set-based ESU enumerator, no caching;
-* ``fast_cold``      — the fast (bitset ESU) engine;
-* ``fast_warm``      — the fast engine re-run directly after
-  ``fast_cold``, on the caches that row primed.
+* ``build_candidate_library`` — the whole build, timed by the
+  ``identify.enumerate`` spans (guard >= 2x);
+* ``enumerate_connected`` — its per-block ESU searches, timed by the
+  ``identify.search`` spans (guard >= 2x).
 
-Only the per-DFG bitset masks, which live on the program objects, are
-shared: the first row to enumerate builds them.
+The engines return the same candidates only where the visit budgets do
+not bind (``tests/test_enumeration_differential.py``).  On this workload
+they bind, and the fast engine's pruning must reach at least as many
+candidates in every program; that is what these rows assert.
 
-Per-stage wall clock (enumerate / curves / select), candidate-visit rates
-and the speedup ratios are written to
-``benchmarks/results/BENCH_identification.json``.  Engine enumeration
-comparisons (rates and ``*_enumeration`` ratios) use the pure
-``stats["enumerate_seconds"]`` measured around :func:`enumerate_connected`
-itself — the stage timer also covers candidate costing, which is
-engine-independent work that would dilute the ratios.
+Cache rows (cold vs warm):
+
+* ``identify`` — ``build_task`` per program, timed by the ``identify``
+  and ``curves`` spans (guard >= 5x);
+* ``select`` — EDF and RMS selection over the six task sets at eleven
+  area budgets, wall clock (the selection spans sit behind the cache
+  lookup; guard: warm strictly beats cold, i.e. a two-decimal ratio of
+  at least 1.01).
+
+The two ``obs`` guards bound the per-``span()`` cost with tracing off
+and on; CI also reads them from the JSON (``obs.disabled_span_ns``,
+``obs.enabled_span_ns``).
 """
 
 from __future__ import annotations
 
-import math
-import time
+import functools
 
-from benchmarks.common import emit_json, reset_stages, stage, stage_report
+from benchmarks.common import (
+    CacheRow,
+    EngineRow,
+    assert_guards,
+    best_of,
+    emit_json,
+    run_cache_rows,
+    run_engine_rows,
+)
 from repro import cache, obs
-from repro.core import select_edf, select_rms
-from repro.enumeration import build_candidate_library
-from repro.rtsched import PeriodicTask, scale_periods_for_utilization
-from repro.selection import build_configuration_curve, downsample_curve
+from repro.core import build_task, select_edf, select_rms
+from repro.enumeration import build_candidate_library, enumerate_connected
+from repro.rtsched import scale_periods_for_utilization
 from repro.workloads import CH3_TASK_SETS, get_program
 
-#: Repeats for the enumeration-only engine comparison; the min filters
-#: scheduler noise out of the per-engine kernel time (single-shot cold
-#: rows stay in the payload for the end-to-end picture).
-ENUM_REPEATS = 5
-
 AREA_FRACTIONS = tuple(i / 10 for i in range(11))
+WORKLOAD = "figure_3_3"
 
 
-def _workload_pairs() -> list[tuple[str, int]]:
-    """Unique (benchmark, salt) pairs across the six Chapter 3 task sets."""
-    pairs: set[tuple[str, int]] = set()
-    for names in CH3_TASK_SETS.values():
-        seen: dict[str, int] = {}
-        for name in names:
-            salt = seen.get(name, 0)
-            seen[name] = salt + 1
-            pairs.add((name, salt))
-    return sorted(pairs)
+def _salted(names) -> list[tuple[str, int]]:
+    """(benchmark, salt) per task: repeats of a name get fresh salts."""
+    seen: dict[str, int] = {}
+    pairs = []
+    for name in names:
+        pairs.append((name, seen.get(name, 0)))
+        seen[name] = pairs[-1][1] + 1
+    return pairs
 
 
-def _run_pipeline(engine: str, use_cache: bool, label: str) -> dict:
-    """One full identification+curve+selection pass over the workload."""
-    reset_stages()
-    enum_stats: dict = {}
-    tasks: dict[tuple[str, int], PeriodicTask] = {}
-    t0 = time.perf_counter()
-    for name, salt in _workload_pairs():
-        program = get_program(name, salt)
-        with stage("enumerate"):
-            library = build_candidate_library(
-                program, engine=engine, use_cache=use_cache, stats=enum_stats
-            )
-        with stage("curves"):
-            curve = downsample_curve(
-                build_configuration_curve(
-                    program, library.candidates, use_cache=use_cache
-                ),
-                24,
-            )
-        tasks[(name, salt)] = PeriodicTask(
-            name=program.name,
-            period=2.0 * curve[0].cycles,
-            wcet=curve[0].cycles,
-            configurations=tuple(curve),
+PAIRS = sorted({p for names in CH3_TASK_SETS.values() for p in _salted(names)})
+
+
+@functools.cache
+def _programs() -> tuple:
+    return tuple(get_program(name, salt) for name, salt in PAIRS)
+
+
+def _libraries(engine: str) -> list[list]:
+    return [
+        build_candidate_library(p, engine=engine, use_cache=False).candidates
+        for p in _programs()
+    ]
+
+
+def _fast_reaches_as_many(fast: list[list], ref: list[list]) -> bool:
+    return len(fast) == len(ref) and all(
+        len(f) >= len(r) > 0 for f, r in zip(fast, ref)
+    )
+
+
+def _tasks() -> list:
+    return [build_task(p) for p in _programs()]
+
+
+@functools.cache
+def _task_sets() -> tuple:
+    tasks = dict(zip(PAIRS, _tasks()))
+    return tuple(
+        scale_periods_for_utilization(
+            [tasks[pair] for pair in _salted(names)], 1.05, name=f"ts{k}"
         )
-    with stage("select"):
-        for k, names in sorted(CH3_TASK_SETS.items()):
-            seen: dict[str, int] = {}
-            members = []
-            for name in names:
-                salt = seen.get(name, 0)
-                seen[name] = salt + 1
-                members.append(tasks[(name, salt)])
-            ts = scale_periods_for_utilization(members, 1.05, name=f"ts{k}")
-            for frac in AREA_FRACTIONS:
-                budget = ts.max_area * frac
-                select_edf(ts, budget)
-                select_rms(ts, budget)
-    total = time.perf_counter() - t0
-    report = stage_report()
-    stage_enum_seconds = report.get("enumerate", {}).get("seconds", 0.0)
-    # Pure time inside enumerate_connected (excludes candidate costing,
-    # which the enumerate *stage* also covers) — the engine-comparable
-    # denominator for visit rates and enumeration speedups.
-    enum_seconds = enum_stats.get("enumerate_seconds", 0.0)
-    visited = enum_stats.get("visited", 0)
-    return {
-        "label": label,
-        "engine": engine,
-        "use_cache": use_cache,
-        "programs": len(tasks),
-        "total_seconds": round(total, 4),
-        "stages": {k: round(v["seconds"], 4) for k, v in report.items()},
-        "identification_seconds": round(
-            stage_enum_seconds + report.get("curves", {}).get("seconds", 0.0), 4
-        ),
-        "enumerate_seconds": round(enum_seconds, 4),
-        "candidates_visited": visited,
-        "candidates_visited_per_sec": (
-            round(visited / enum_seconds) if enum_seconds > 0 and visited else None
-        ),
-    }
+        for k, names in sorted(CH3_TASK_SETS.items())
+    )
 
 
-def _enumeration_seconds(engine: str, repeats: int = ENUM_REPEATS) -> float:
-    """Best-of-*repeats* pure enumeration time for one engine.
-
-    Sweeps :func:`enumerate_connected` over every hot block of the
-    Figure 3.3 workload (the library's own parameters: 4/2 ports,
-    ``max_size`` 12, 2000 candidates per block) and returns the fastest
-    full sweep — the engine's kernel time with warm masks/constants,
-    insulated from one-off scheduler stalls and from the
-    candidate-costing allocator churn a full library build interleaves.
-    This is the figure behind the ``*_enumeration_best`` speedup.
-    """
-    from repro.enumeration import enumerate_connected
-    from repro.enumeration.library import hot_block_indices
-
-    dfgs = []
-    for name, salt in _workload_pairs():
-        program = get_program(name, salt)
-        dfgs += [
-            program.basic_blocks[i].dfg for i in hot_block_indices(program)
-        ]
-    best = math.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for dfg in dfgs:
-            enumerate_connected(
-                dfg, max_inputs=4, max_outputs=2, max_size=12,
-                max_candidates=2000, engine=engine,
-            )
-        best = min(best, time.perf_counter() - t0)
-    return best
+def _select() -> list:
+    return [
+        (select_edf(ts, ts.max_area * f), select_rms(ts, ts.max_area * f))
+        for ts in _task_sets()
+        for f in AREA_FRACTIONS
+    ]
 
 
-def _disabled_span_ns(iterations: int = 200_000) -> float:
-    """Average per-call cost of :func:`repro.obs.span` with tracing off."""
+ENGINE_ROWS = (
+    EngineRow(
+        build_candidate_library, _libraries, WORKLOAD, guard=2.0,
+        spans=("identify.enumerate",), repeats=2, agree=_fast_reaches_as_many,
+    ),
+    EngineRow(
+        enumerate_connected, _libraries, WORKLOAD, guard=2.0,
+        spans=("identify.search",), repeats=2, agree=_fast_reaches_as_many,
+    ),
+)
+
+CACHE_ROWS = (
+    CacheRow("identify", _tasks, WORKLOAD, guard=5.0, spans=("identify", "curves")),
+    CacheRow(
+        "select", _select, WORKLOAD, guard=1.01,
+        clear=lambda: (_task_sets(), cache.clear()),
+    ),
+)
+
+
+def _span_ns(tracing: bool, iterations: int) -> float:
+    """Average per-call cost of :func:`repro.obs.span` (entry, exit and,
+    with tracing on, the append of its record to the trace buffer)."""
     assert not obs.tracing_enabled()
     span = obs.span
-    t0 = time.perf_counter()
-    for _ in range(iterations):
-        with span("overhead-probe"):
-            pass
-    return (time.perf_counter() - t0) / iterations * 1e9
 
-
-def _enabled_span_ns(iterations: int = 20_000) -> float:
-    """Average per-call cost of :func:`repro.obs.span` with tracing on
-    (entry, exit and the append of its record to the trace buffer)."""
-    assert not obs.tracing_enabled()
-    span = obs.span
-    obs.clear_trace()
-    obs.enable_tracing()
-    try:
-        t0 = time.perf_counter()
+    def loop() -> None:
         for _ in range(iterations):
             with span("overhead-probe"):
                 pass
-        elapsed = time.perf_counter() - t0
+
+    if tracing:
+        obs.enable_tracing()
+    try:
+        (sample,), _ = best_of(loop)
     finally:
         obs.disable_tracing()
         obs.clear_trace()
-    return elapsed / iterations * 1e9
+    return sample["wall"] / iterations * 1e9
 
 
 def test_obs_disabled_overhead_guard():
     """Disabled tracing must be a near-free no-op on the hot path.
 
-    The guard bounds the per-``span()`` cost with tracing off; the 5 µs
-    ceiling is ~100x the observed cost, so only a broken no-op path (e.g.
-    losing the ``_TRACING`` early-out) trips it — timer noise cannot.
+    The 5 µs ceiling is ~100x the observed cost, so only a broken no-op
+    path (e.g. losing the ``_TRACING`` early-out) trips it.
     """
     assert obs.span("a") is obs.span("b"), "disabled span must be a shared singleton"
-    per_call_ns = _disabled_span_ns()
+    per_call_ns = _span_ns(False, 200_000)
     assert per_call_ns < 5_000, f"disabled span costs {per_call_ns:.0f}ns/call"
 
 
@@ -201,68 +165,20 @@ def test_obs_enabled_overhead_guard():
     x86_64 host), so only a broken record or append path (e.g. work
     proportional to the buffer length) trips it.
     """
-    per_call_ns = _enabled_span_ns()
+    per_call_ns = _span_ns(True, 20_000)
     assert per_call_ns < 50_000, f"enabled span costs {per_call_ns:.0f}ns/call"
 
 
-def test_identification_pipeline_speed(benchmark):
-    cache.clear()
-    reference = _run_pipeline("reference", use_cache=False, label="reference_cold")
-
-    cache.clear()
-    obs.reset()  # the payload's metrics block covers the fast rows only
-    cold = _run_pipeline("fast", use_cache=True, label="fast_cold")
-    warm = benchmark.pedantic(
-        _run_pipeline, args=("fast", True, "fast_warm"), rounds=1, iterations=1
-    )
-
-    fast_best = _enumeration_seconds("fast")
-    # The reference engine is ~10x slower, so noise is proportionally
-    # smaller — two repeats suffice.
-    reference_best = _enumeration_seconds("reference", repeats=2)
-
-    def ratio(a: float, b: float) -> float:
-        return round(a / b, 2) if b > 0 else math.inf
-
+def test_identification_pipeline_speed():
+    obs.reset()
     payload = {
-        "workload": "figure_3_3",
-        "rows": [reference, cold, warm],
-        "enumeration_best_of": {
-            "repeats": ENUM_REPEATS,
-            "reference_seconds": round(reference_best, 4),
-            "fast_seconds": round(fast_best, 4),
-        },
-        "speedups": {
-            "fast_vs_reference_identification": ratio(
-                reference["identification_seconds"], cold["identification_seconds"]
-            ),
-            "fast_vs_reference_total": ratio(
-                reference["total_seconds"], cold["total_seconds"]
-            ),
-            "fast_vs_reference_enumeration": ratio(
-                reference["enumerate_seconds"], cold["enumerate_seconds"]
-            ),
-            "fast_vs_reference_enumeration_best": ratio(
-                reference_best, fast_best
-            ),
-            "warm_vs_cold_identification": ratio(
-                cold["identification_seconds"], warm["identification_seconds"]
-            ),
-            "warm_vs_cold_total": ratio(
-                cold["total_seconds"], warm["total_seconds"]
-            ),
-        },
+        "workload": WORKLOAD,
+        "engine_rows": run_engine_rows(ENGINE_ROWS),
+        "cache_rows": run_cache_rows(CACHE_ROWS),
         "obs": {
-            "disabled_span_ns": round(_disabled_span_ns(20_000), 1),
-            "enabled_span_ns": round(_enabled_span_ns(), 1),
+            "disabled_span_ns": round(_span_ns(False, 20_000), 1),
+            "enabled_span_ns": round(_span_ns(True, 20_000), 1),
         },
     }
     emit_json("BENCH_identification", payload)
-
-    # Acceptance: the fast engine is ≥3x faster on identification+curves,
-    # and the warm-cache rerun ≥10x faster than cold.  Assert with margin so
-    # CI noise cannot flake the build while still catching regressions.
-    speedups = payload["speedups"]
-    assert speedups["fast_vs_reference_identification"] >= 2.0
-    assert speedups["warm_vs_cold_identification"] >= 5.0
-    assert warm["total_seconds"] < cold["total_seconds"]
+    assert_guards(payload["engine_rows"], payload["cache_rows"])

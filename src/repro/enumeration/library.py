@@ -12,8 +12,6 @@ sweeps that revisit the same program skip enumeration entirely.
 
 from __future__ import annotations
 
-import time
-
 from repro import cache, obs
 from repro.engines import check_engine
 from repro.enumeration.mimo import enumerate_connected
@@ -77,11 +75,10 @@ def build_candidate_library(
         use_cache: consult/populate the content-keyed artifact cache
             (:mod:`repro.cache`).
         stats: optional dict accumulating enumeration ``visited``/``feasible``
-            counters (bypassed on cache hits).  Also receives
-            ``enumerate_seconds`` — wall time spent inside
-            :func:`enumerate_connected` alone, excluding candidate costing
-            — so throughput rates compare engines on the enumeration work
-            itself.
+            counters (bypassed on cache hits).  Time is not kept here: the
+            ``identify.enumerate`` span covers the whole build and each
+            ``identify.search`` span one block's :func:`enumerate_connected`
+            call (see :mod:`repro.obs`).
 
     Returns:
         A :class:`CandidateLibrary` with profitable candidates only, ordered
@@ -117,12 +114,10 @@ def build_candidate_library(
         "visited", "feasible", "pruned_visit_budget", "pruned_inputs",
         "pruned_outputs",
     )}
-    enum_seconds = 0.0
     with obs.span("identify.enumerate", program=program.name, engine=engine):
         for i in hot_block_indices(program, hot_threshold):
             dfg = blocks[i].dfg
             with obs.span("identify.search", block=i, ops=len(dfg)):
-                t0 = time.perf_counter()
                 node_sets = enumerate_connected(
                     dfg,
                     max_inputs=max_inputs,
@@ -132,7 +127,6 @@ def build_candidate_library(
                     engine=engine,
                     stats=enum_stats,
                 )
-                enum_seconds += time.perf_counter() - t0
                 if include_disconnected:
                     from repro.enumeration.disconnected import pair_disconnected
 
@@ -154,9 +148,6 @@ def build_candidate_library(
                     )
                     if cand.total_gain > 0:
                         library.add(cand)
-    enum_stats["enumerate_seconds"] = (
-        enum_stats.get("enumerate_seconds", 0.0) + enum_seconds
-    )
     for k, v0 in before.items():
         delta = enum_stats.get(k, 0) - v0
         if delta:

@@ -481,14 +481,25 @@ def _mtreconfig_inputs(p: dict):
 
 
 def _key_mtreconfig(p: dict) -> str:
-    tasks, fabric_area, rho = _mtreconfig_inputs(p)
+    if p["benchmarks"]:
+        # Keep resolve cheap: building the tasks runs identification, so
+        # key on the programs' content fingerprints and the given knobs
+        # (an omitted area or rho is derived from the tasks: None here).
+        digest = _joint_fingerprint(p["benchmarks"])
+        fabric_area, rho = p["fabric_area"], p["rho"]
+        extra = {"utilization": p["utilization"]}
+    else:
+        tasks, fabric_area, rho = _mtreconfig_inputs(p)
+        digest = cache.reconfig_tasks_digest(tasks)
+        extra = {}
     return cache.artifact_key(
-        cache.reconfig_tasks_digest(tasks),
+        digest,
         svc="mtreconfig",
         layout=_LAYOUT,
         solver=p["solver"],
         fabric_area=fabric_area,
         rho=rho,
+        **extra,
     )
 
 

@@ -11,9 +11,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from math import gcd
 
-import numpy as np
-
-from repro.engines import check_engine
 from repro.enumeration.patterns import Candidate
 
 __all__ = ["select_knapsack", "area_quantum"]
@@ -39,7 +36,6 @@ def select_knapsack(
     candidates: Sequence[Candidate],
     area_budget: float,
     scale: int = 100,
-    engine: str = "fast",
 ) -> list[int]:
     """Optimal selection of pairwise-disjoint candidates (0-1 knapsack).
 
@@ -47,16 +43,10 @@ def select_knapsack(
         candidates: disjoint candidate pool (overlaps are *not* checked).
         area_budget: total CFU area available.
         scale: fixed-point scale for area quantization.
-        engine: ``"fast"`` (default) runs the DP row-at-a-time in numpy
-            with a per-item decision matrix and reverse backtracking;
-            ``"reference"`` keeps the original scalar take-list DP.  The
-            selected index set is identical (strict ``>`` updates make the
-            reverse walk reproduce the forward take-lists).
 
     Returns:
         Indices of the selected candidates.
     """
-    check_engine(engine)
     items = [
         (i, c.total_gain, round(c.area * scale))
         for i, c in enumerate(candidates)
@@ -68,43 +58,16 @@ def select_knapsack(
     quantum = area_quantum([c.area for c in candidates], area_budget, scale)
     cap //= quantum
 
-    if engine == "fast":
-        best = np.zeros(cap + 1)
-        widths: list[int] = []
-        kept: list[int] = []
-        taken_rows: list[np.ndarray] = []
-        for idx, gain, area_scaled in items:
-            w = -(-area_scaled // quantum)  # ceil: never under-count area
-            if w > cap:
-                continue
-            shifted = best[: cap + 1 - w] + gain
-            better = shifted > best[w:]
-            best[w:][better] = shifted[better]
-            row = np.zeros(cap + 1, dtype=bool)
-            row[w:] = better
-            taken_rows.append(row)
-            widths.append(w)
-            kept.append(idx)
-        if not kept:
-            return []
-        a = int(np.argmax(best))  # first occurrence = smallest area, as max()
-        chosen: list[int] = []
-        for m in range(len(kept) - 1, -1, -1):
-            if taken_rows[m][a]:
-                chosen.append(kept[m])
-                a -= widths[m]
-        return sorted(chosen)
-
-    best_list = [0.0] * (cap + 1)
+    best = [0.0] * (cap + 1)
     take: list[list[int]] = [[] for _ in range(cap + 1)]
     for idx, gain, area_scaled in items:
         w = -(-area_scaled // quantum)  # ceil division: never under-count area
         if w > cap:
             continue
         for a in range(cap, w - 1, -1):
-            cand_val = best_list[a - w] + gain
-            if cand_val > best_list[a]:
-                best_list[a] = cand_val
+            cand_val = best[a - w] + gain
+            if cand_val > best[a]:
+                best[a] = cand_val
                 take[a] = take[a - w] + [idx]
-    best_a = max(range(cap + 1), key=lambda a: best_list[a])
+    best_a = max(range(cap + 1), key=lambda a: best[a])
     return sorted(take[best_a])

@@ -41,6 +41,7 @@ would interleave records.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -146,6 +147,21 @@ def replay_journal(path: str) -> tuple[list[dict], dict[str, Any]]:
     return list(live.values()), stats
 
 
+def _lifecycle_span(record):
+    """Wrap a ``record_*`` method in one ``service.journal`` span: all of
+    its journaling work (params check, live-set bookkeeping, write,
+    batched fsync, compaction) is the durability tax the service bench
+    reports.  The span is the shared no-op when tracing is off."""
+    rec = record.__name__.removeprefix("record_")
+
+    @functools.wraps(record)
+    def traced(self, *args, **kwargs):
+        with obs.span("service.journal", rec=rec):
+            return record(self, *args, **kwargs)
+
+    return traced
+
+
 class JobJournal:
     """Append-only JSONL job journal with replay, fsync batching and
     compaction.  See the module docstring for the design."""
@@ -220,6 +236,7 @@ class JobJournal:
     # ------------------------------------------------------------------
     # Records
     # ------------------------------------------------------------------
+    @_lifecycle_span
     def record_submitted(
         self, key: str, kind: str, params: dict, priority: int = 0
     ) -> bool:
@@ -251,15 +268,18 @@ class JobJournal:
         self._append(rec)
         return True
 
+    @_lifecycle_span
     def record_started(self, key: str) -> None:
         self._append({"rec": "started", "key": key, "t": time.time()})
 
+    @_lifecycle_span
     def record_done(self, key: str, source: str = "computed") -> None:
         self._live.pop(key, None)
         self._append(
             {"rec": "done", "key": key, "source": source, "t": time.time()}
         )
 
+    @_lifecycle_span
     def record_failed(self, key: str, error: str) -> None:
         self._live.pop(key, None)
         self._append({

@@ -1,7 +1,7 @@
 """One engine vocabulary, chosen only where both implementations live.
 
 A stage with two implementations takes ``engine="fast"|"reference"`` at
-the function that holds both (the nine implementation points below) and
+the function that holds both (the eight implementation points below) and
 rejects any other name with :class:`ValueError`, the retired
 pre-unification spellings included.
 
@@ -111,7 +111,6 @@ IMPLEMENTATIONS = {
     "library.uncached": lambda e: _library(e, use_cache=False),
     "pareto.inter": _inter,
     "pareto.intra": _intra,
-    "knapsack": _knapsack,
     "rms": _rms,
     "simulator": _simulate,
     "simulator.taskset": _simulate_taskset,
@@ -156,8 +155,10 @@ def _mlgp_profile(engine):
     mlgp_program_profile(_program(), engine=engine)
 
 
-#: Flow functions above the implementation points: they take no engine.
+#: Functions that take no engine: the flow functions above the
+#: implementation points, and the knapsack DP (one scalar implementation).
 FORWARDERS = {
+    "knapsack": _knapsack,
     "frontend": _frontend,
     "core.flow": _flow,
     "faults.sweep": _faults_sweep,

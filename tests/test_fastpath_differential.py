@@ -18,11 +18,9 @@ import pytest
 
 from repro import cache
 from repro.core.rms_select import select_rms
-from repro.enumeration.patterns import Candidate
 from repro.pareto import inter
 from repro.pareto.inter import TaskCurve, exact_utilization_curve
 from repro.pareto.intra import CIOption, exact_workload_curve
-from repro.selection.knapsack import select_knapsack
 from repro.testing import random_task_set
 
 SEEDS = range(12)
@@ -87,30 +85,6 @@ def test_rms_select_fast_matches_reference(seed):
     assert fast.area == ref.area
     # Identical search tree, not just identical answers.
     assert fast.nodes_visited == ref.nodes_visited
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_knapsack_vector_matches_reference(seed):
-    rng = random.Random(2000 + seed)
-    candidates = []
-    for i in range(rng.randint(1, 12)):
-        sw = rng.randint(1, 20)
-        candidates.append(
-            Candidate(
-                block_index=i,
-                nodes=frozenset({i}),
-                sw_cycles=sw,
-                hw_cycles=rng.randint(0, sw),
-                area=float(rng.randint(0, 8)) + rng.choice((0.0, 0.5)),
-                inputs=2,
-                outputs=1,
-                frequency=float(rng.randint(1, 50)),
-            )
-        )
-    budget = rng.uniform(0.0, sum(c.area for c in candidates) + 1.0)
-    fast = select_knapsack(candidates, budget, engine="fast")
-    ref = select_knapsack(candidates, budget, engine="reference")
-    assert fast == ref
 
 
 def test_inter_exact_cache_is_engine_independent(monkeypatch):

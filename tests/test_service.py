@@ -598,6 +598,31 @@ class TestJobKinds:
             != jobs_mod.resolve_job("reconfig", dict(bench, rho=16.0))[0]
         )
 
+    def test_mtreconfig_resolve_builds_no_tasks(self, monkeypatch):
+        """Resolving runs on the server's event loop: a benchmarks request
+        is keyed on program fingerprints, never on the built task set."""
+        import repro.mtreconfig
+        import repro.mtreconfig.workload
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("resolve_job built the task set")
+
+        for module in (repro.mtreconfig, repro.mtreconfig.workload):
+            monkeypatch.setattr(module, "tasks_from_benchmarks", refuse)
+        params = {"benchmarks": ["sha", "blowfish"]}
+        key, norm = jobs_mod.resolve_job("mtreconfig", params)
+        assert key == jobs_mod.resolve_job("mtreconfig", dict(params))[0]
+        assert norm["fabric_area"] is None and norm["rho"] is None
+        others = [
+            dict(params, utilization=1.1),
+            dict(params, solver="static"),
+            dict(params, fabric_area=2000.0),
+            dict(params, rho=5.0),
+            {"benchmarks": ["sha"]},
+        ]
+        keys = {jobs_mod.resolve_job("mtreconfig", p)[0] for p in others}
+        assert len(keys | {key}) == len(others) + 1
+
     def test_every_builtin_kind_resolves(self):
         for kind in ("identify", "curve", "pareto", "mlgp", "mtreconfig"):
             params = (

@@ -261,6 +261,41 @@ class TestCrashRecovery:
         live, _ = replay_journal(journal)
         assert live == []
 
+    def test_every_journal_append_is_one_span(self, kind, tmp_path):
+        """Under tracing, each journaled lifecycle record emits one
+        ``service.journal`` span covering all of its journaling work (the
+        journal tax the service bench sums); with tracing off the span is
+        the shared no-op."""
+        from repro import obs
+
+        assert obs.span("service.journal") is obs.span("other")
+        obs.clear_trace()
+        obs.enable_tracing()
+        try:
+            srv = ServerThread(
+                journal=str(tmp_path / "j.jsonl"), use_processes=False
+            ).start()
+            try:
+                with ServiceClient(**srv.address) as c:
+                    for x in (1, 2, 1):
+                        c.submit(kind.name, {"x": x})
+                    appends = c.health()["journal"]["appends"]
+            finally:
+                srv.stop()
+            spans = [
+                s for s in obs.trace_spans() if s["name"] == "service.journal"
+            ]
+        finally:
+            obs.disable_tracing()
+            obs.clear_trace()
+        # Two computed jobs: submitted, started, done each; the repeat
+        # is an at-rest hit and journals nothing.
+        assert appends == 6
+        assert len(spans) == appends
+        assert sorted(s["attrs"]["rec"] for s in spans) == sorted(
+            ["submitted", "started", "done"] * 2
+        )
+
     def test_unknown_kind_replay_fails_durably(self, tmp_path):
         # A journal from an older deployment may reference kinds this
         # server no longer registers: the record must turn terminal
