@@ -43,7 +43,6 @@ from typing import Any
 import repro
 from repro import cache, obs
 from repro.core import build_task
-from repro.core.flow import build_tasks
 from repro.rtsched import PeriodicTask, TaskSet, scale_periods_for_utilization
 from repro.workloads import get_program
 
@@ -288,18 +287,6 @@ def cached_task_set(
         seen[name] = salt + 1
         tasks.append(cached_task(name, salt))
     return scale_periods_for_utilization(tasks, utilization, name=label)
-
-
-def prebuild_tasks(
-    pairs: tuple[tuple[str, int], ...], workers: int | None = None
-) -> list[PeriodicTask]:
-    """Build tasks for (benchmark, salt) pairs, optionally in parallel.
-
-    With ``workers > 1`` the identification+curve work fans out over a
-    process pool (see :func:`repro.core.flow.build_tasks`).
-    """
-    programs = [get_program(name, salt) for name, salt in pairs]
-    return build_tasks(programs, workers=workers)
 
 
 def once(benchmark, fn, *args, **kwargs):

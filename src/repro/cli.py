@@ -28,9 +28,8 @@ The five chapter commands ``curve``, ``pareto``, ``mlgp``, ``reconfig`` and
 ``mtreconfig`` are the job kinds of :mod:`repro.jobs` run in this process:
 their flags build a params dict (an absent flag leaves its parameter out,
 so the kind's own default applies), the kind normalizes and computes it,
-and this module only formats the returned dict.  ``--workers`` is an
-execution argument passed to the computation, never a job parameter.
-The server is never imported by these commands.
+and this module only formats the returned dict.  The server is never
+imported by these commands.
 
 Library errors (:class:`repro.errors.ReproError`) are caught at the top
 level and reported as a one-line message with exit status 2 — a bad input
@@ -153,8 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cust.add_argument("--area", type=float, default=None,
                         help="CFU area budget (default: half of MaxArea)")
     p_cust.add_argument("--input", help="load the task set from JSON instead")
-    p_cust.add_argument("--workers", type=int, default=None,
-                        help="build per-task curves in N parallel processes")
     _add_obs_flags(p_cust)
 
     p_par = sub.add_parser("pareto", help="utilization-area Pareto curve (Ch. 4)")
@@ -162,8 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     _param(p_par, "pareto", "--eps", "approximation factor", type=float)
     _param(p_par, "pareto", "--utilization", "software-only utilization",
            type=float)
-    p_par.add_argument("--workers", type=int, default=None,
-                       help="build per-task curves in N parallel processes")
     _add_obs_flags(p_par, no_cache=True)
 
     p_exp = sub.add_parser("explain", help="sensitivity analysis of a task set")
@@ -197,8 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
            "reconfiguration cost (default: JPEG's, or 15 for an input "
            "file)", type=float)
     _param(p_rec, "reconfig", "--seed", "k-way partitioner seed", type=int)
-    p_rec.add_argument("--workers", type=int, default=None,
-                       help="evaluate per-k partitions in N parallel processes")
     _add_obs_flags(p_rec, no_cache=True)
 
     p_mt = sub.add_parser(
@@ -246,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-job overrun probability (default 0.25)")
     p_flt.add_argument("--jitter-frac", type=float, default=0.10,
                        help="reconfiguration jitter fraction (default 0.10)")
-    p_flt.add_argument("--workers", type=int, default=None,
-                       help="build per-task curves in N parallel processes")
     p_flt.add_argument("--output",
                        help="write the robustness report JSON here "
                             "(BENCH_faults.json style)")
@@ -444,9 +435,8 @@ def _run_kind(args: argparse.Namespace) -> int:
     params = {k: v for k, v in vars(args).items() if k in defaults}
     if getattr(args, "input", None):
         params["loops"] = repro_io.load_json(args.input)
-    options = {"workers": args.workers} if "workers" in args else {}
     p = jobs.normalize_job(kind, params)
-    return _SHOW[kind](args, p, jobs.compute_job(kind, p, **options))
+    return _SHOW[kind](args, p, jobs.compute_job(kind, p))
 
 
 def _show_curve(args: argparse.Namespace, p: dict, r: dict) -> int:
@@ -482,11 +472,7 @@ def _cmd_customize(args: argparse.Namespace) -> int:
         task_set = repro_io.task_set_from_dict(repro_io.load_json(args.input))
     else:
         programs = programs_for(tuple(args.benchmarks))
-        task_set = build_task_set(
-            programs,
-            target_utilization=args.utilization,
-            workers=args.workers,
-        )
+        task_set = build_task_set(programs, target_utilization=args.utilization)
     budget = args.area if args.area is not None else 0.5 * task_set.max_area
     result = customize(task_set, budget, policy=args.policy)
     rows = [
@@ -652,7 +638,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             programs_for(names),
             target_utilization=args.utilization,
             name="+".join(names),
-            workers=args.workers,
         )
     policies = ("edf", "rms") if args.policy == "both" else (args.policy,)
     scenarios = default_scenarios(

@@ -21,7 +21,6 @@ from repro.core.rms_select import RmsSelection, select_rms
 from repro.enumeration.library import build_candidate_library
 from repro.errors import ScheduleError
 from repro.graphs.program import Program
-from repro.parallel import parallel_map
 from repro.rtsched.task import PeriodicTask, TaskSet, scale_periods_for_utilization
 from repro.selection.config_curve import (
     build_configuration_curve,
@@ -126,33 +125,18 @@ def build_task(
     )
 
 
-def _build_task_job(args: tuple[Program, dict]) -> PeriodicTask:
-    """Module-level worker so :func:`build_tasks` jobs can be pickled."""
-    program, kwargs = args
-    return build_task(program, **kwargs)
-
-
 def build_tasks(
     programs: Sequence[Program],
-    workers: int | None = None,
     **task_kwargs,
 ) -> list[PeriodicTask]:
-    """Build one :class:`PeriodicTask` per program, optionally in parallel.
+    """Build one :class:`PeriodicTask` per program, in program order.
 
     Args:
         programs: the task programs.
-        workers: when > 1, fan the per-task identification+curve work out
-            over a :class:`~concurrent.futures.ProcessPoolExecutor` with
-            that many processes (default: serial).  Results are returned in
-            program order either way; if the pool cannot be created (e.g.
-            a sandbox without process support) the build falls back to
-            serial and logs a one-shot warning naming the exception (see
-            :func:`repro.parallel.parallel_map`).
         **task_kwargs: forwarded to :func:`build_task`.
     """
-    jobs = [(p, task_kwargs) for p in programs]
-    with obs.span("identify.batch", tasks=len(jobs), workers=workers or 0):
-        return parallel_map(_build_task_job, jobs, workers, label="task builds")
+    with obs.span("identify.batch", tasks=len(programs)):
+        return [build_task(p, **task_kwargs) for p in programs]
 
 
 def build_task_set(
@@ -160,15 +144,10 @@ def build_task_set(
     target_utilization: float,
     name: str = "",
     objective: str = "avg",
-    workers: int | None = None,
     **task_kwargs,
 ) -> TaskSet:
-    """Build a task set from programs with periods scaled to a utilization.
-
-    Pass ``workers=N`` to build the per-task libraries and curves in N
-    parallel processes (see :func:`build_tasks`).
-    """
-    tasks = build_tasks(programs, workers=workers, objective=objective, **task_kwargs)
+    """Build a task set from programs with periods scaled to a utilization."""
+    tasks = build_tasks(programs, objective=objective, **task_kwargs)
     return scale_periods_for_utilization(tasks, target_utilization, name=name)
 
 

@@ -12,11 +12,8 @@ here and nowhere else:
   artifact cache uses (``program_fingerprint``, ``hot_loops_digest``,
   ``reconfig_tasks_digest``), so requests that compute the same artifact
   share a key;
-* **compute** ``(params, **options)`` — the run, returning a
-  JSON-serializable result that carries everything ``repro <kind>``
-  prints.  *options* (``workers=`` on ``pareto`` and ``reconfig``) never
-  change the answer and are never parameters, so they never reach a key
-  or the journal.
+* **compute** ``(params)`` — the run, returning a JSON-serializable
+  result that carries everything ``repro <kind>`` prints.
 
 ``repro curve|pareto|mlgp|reconfig|mtreconfig`` call :func:`normalize_job`
 and :func:`compute_job` in-process and only format the result; the server
@@ -69,7 +66,7 @@ class JobKind:
 
     name: str
     resolve: Callable[[dict], tuple[str, dict]]
-    compute: Callable[..., dict]
+    compute: Callable[[dict], dict]
     defaults: Mapping[str, Any] | None = None
     normalize: Callable[[dict], dict] | None = None
 
@@ -105,9 +102,9 @@ def normalize_job(kind: str, params: dict | None) -> dict:
     return _kind(kind).normalize(dict(params or {}))
 
 
-def compute_job(kind: str, params: dict, **options: Any) -> dict:
+def compute_job(kind: str, params: dict) -> dict:
     """Run one job's computation (module-level, so it pickles)."""
-    return _kind(kind).compute(params, **options)
+    return _kind(kind).compute(params)
 
 
 def _builtin(
@@ -265,11 +262,11 @@ def _key_pareto(p: dict) -> str:
     )
 
 
-def _compute_pareto(params: dict, workers: int | None = None) -> dict:
+def _compute_pareto(params: dict) -> dict:
     from repro.core.flow import build_tasks
     from repro.pareto import TaskCurve, approx_utilization_curve
 
-    tasks = build_tasks(programs_for(params["benchmarks"]), workers=workers)
+    tasks = build_tasks(programs_for(params["benchmarks"]))
     alpha = len(tasks) / params["utilization"]
     curves = [
         TaskCurve(
@@ -405,13 +402,11 @@ def _key_reconfig(p: dict) -> str:
     )
 
 
-def _compute_reconfig(params: dict, workers: int | None = None) -> dict:
+def _compute_reconfig(params: dict) -> dict:
     from repro.reconfig import greedy_partition, iterative_partition
 
     loops, trace, max_area, rho = _reconfig_inputs(params)
-    it = iterative_partition(
-        loops, trace, max_area, rho, seed=params["seed"], workers=workers
-    )
+    it = iterative_partition(loops, trace, max_area, rho, seed=params["seed"])
     greedy = greedy_partition(loops, trace, max_area, rho)
     return {
         "gain": it.gain,

@@ -23,7 +23,7 @@ module-level warning flags.  Three facilities share one module so a single
   epoch instead of once per process lifetime; every occurrence should
   *also* be counted so suppression never hides events.
 
-Worker processes spawned by :func:`repro.parallel.parallel_map` capture
+The job server's pool workers (:mod:`repro.service.server`) capture
 their spans and metric deltas with :func:`begin_child_capture` /
 :func:`end_child_capture`; the parent folds them back with
 :func:`merge_payload`, re-parenting child root spans under the span active
@@ -267,7 +267,7 @@ def reset() -> None:
 
 
 # ----------------------------------------------------------------------
-# Child-process capture (repro.parallel integration)
+# Child-process capture (job-server pool workers)
 # ----------------------------------------------------------------------
 def begin_child_capture() -> None:
     """Prepare a pool worker: clean buffers, tracing on.

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 from repro import cache, obs
 from repro.errors import ReproError
-from repro.parallel import parallel_map
 from repro.reconfig.kwaypart import kway_partition
 from repro.reconfig.model import HotLoop, Partition, net_gain
 from repro.reconfig.rcg import build_rcg
@@ -152,9 +151,8 @@ def _solutions_for_k(
 ) -> list[PartitionSolution]:
     """Candidate solutions for one configuration count *k* (phases 1-3).
 
-    Returned in the exact order the serial fold compares them (each base
-    candidate followed by its pruned variant when it differs), so folding
-    the lists for ascending ``k`` reproduces the sequential search.
+    Returned in the order :func:`iterative_partition` compares them: each
+    base candidate followed by its pruned variant when it differs.
     """
     with obs.span("reconfig.k", k=k, loops=len(loops)):
         n = len(loops)
@@ -215,21 +213,6 @@ def _solutions_for_k(
         return solutions
 
 
-def _k_job(
-    args: tuple[
-        tuple[HotLoop, ...],
-        tuple[int, ...],
-        float,
-        float,
-        int,
-        bool,
-        int,
-    ],
-) -> list[PartitionSolution]:
-    """Module-level worker so per-k jobs can be pickled."""
-    return _solutions_for_k(*args)
-
-
 def iterative_partition(
     loops: Sequence[HotLoop],
     trace: Sequence[int],
@@ -237,7 +220,6 @@ def iterative_partition(
     rho: float,
     seed: int = 0,
     prune: bool = True,
-    workers: int | None = None,
     use_cache: bool = True,
 ) -> PartitionSolution:
     """Run Algorithm 6 and return the best solution found.
@@ -250,10 +232,6 @@ def iterative_partition(
         seed: RNG seed for the k-way partitioner.
         prune: run the software-demotion post-pass on each candidate
             solution (ablation switch; True in normal use).
-        workers: with > 1, evaluate the per-k candidate solutions in that
-            many parallel processes; the sequential ascending-k fold (and
-            its early exits) is applied to the results afterwards, so the
-            returned solution is identical to the serial search.
         use_cache: memoize the final result behind a content key (loops +
             trace digest + parameters) in :mod:`repro.cache`.
 
@@ -285,26 +263,15 @@ def iterative_partition(
             )
     loops = _cap_versions(loops, max_area)
 
-    jobs = [
-        (tuple(loops), tuple(trace), max_area, rho, seed, prune, k)
-        for k in range(1, n + 1)
-    ]
     with obs.span("reconfig.partition", loops=n):
-        if workers is not None and workers > 1 and n > 1:
-            per_k = parallel_map(
-                _k_job, jobs, workers, label="partition candidates"
-            )
-        else:
-            # Lazy generator: the serial path keeps skipping the k values the
-            # early exits below would never have computed.
-            per_k = (_k_job(j) for j in jobs)
-
         best: PartitionSolution | None = None
         best_total_gain = sum(
             lp.versions[lp.best_version].gain for lp in loops
         )
-        for solutions in per_k:
-            for sol in solutions:
+        for k in range(1, n + 1):
+            for sol in _solutions_for_k(
+                loops, trace, max_area, rho, seed, prune, k
+            ):
                 if best is None or sol.gain > best.gain:
                     best = sol
             # Early exit: every loop already at its best version.

@@ -14,8 +14,9 @@ into cache hits:
   digests) and picklable *compute* step.  The chapter CLI commands run
   the same kinds in-process; the server keys, queues and caches them;
 * :mod:`repro.service.server` — :class:`~repro.service.server.JobServer`:
-  a bounded priority queue, a process-backed worker pool with
-  :mod:`repro.parallel`'s degradation semantics, **in-flight coalescing**
+  a bounded priority queue, a process-backed worker pool that falls
+  back to inline execution when pools are forbidden or break,
+  **in-flight coalescing**
   (concurrent identical requests await one computation) and **at-rest
   dedup** (completed results are stored behind the same key in the
   ``service`` kind of :mod:`repro.cache`, so restarts and other

@@ -294,11 +294,6 @@ class ServiceClient:
             raise ReproError(resp.get("error", "job failed"))
         return resp
 
-    def status(self, job_id: str) -> dict[str, Any]:
-        return self._with_retries(
-            lambda: self.request({"op": "status", "job_id": job_id})["job"]
-        )
-
     def watch(self, job_id: str) -> Iterator[dict[str, Any]]:
         """Stream a job's lifecycle events until its terminal summary.
 

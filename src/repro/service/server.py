@@ -21,9 +21,9 @@ Everything else enters a bounded :class:`asyncio.PriorityQueue` (higher
 rejects the submit — backpressure instead of unbounded memory) and is
 picked up by one of ``workers`` async consumers.
 
-Execution reuses :mod:`repro.parallel`'s degradation semantics: jobs run
-in a :class:`~concurrent.futures.ProcessPoolExecutor` when process pools
-are allowed (:func:`repro.parallel.pool_allowed`).  A broken pool
+Jobs run in a :class:`~concurrent.futures.ProcessPoolExecutor` when
+process pools are allowed (:func:`pool_allowed`: more than one core and
+``REPRO_NO_PROCESS_POOL`` unset); otherwise inline.  A broken pool
 (worker OOM-killed — ``BrokenProcessPool``) is *infrastructure*, not the
 job: the failing job retries inline (never lost), the broken executor is
 replaced with a fresh one for subsequent jobs, and only when no pool can
@@ -80,12 +80,13 @@ import asyncio
 import itertools
 import json
 import logging
+import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any
 
-from repro import cache, obs, parallel
+from repro import cache, obs
 from repro import jobs as jobs_mod
 from repro.errors import ReproError
 from repro.service.journal import JobJournal
@@ -112,17 +113,34 @@ _DRAIN_ERROR = "draining:"
 #: to spare.
 _HANDOFF_CYCLES = 4
 
-#: Jobs remembered for ``status``/``jobs``/``watch`` lookups; beyond this
+#: Jobs remembered for ``wait``/``jobs``/``watch`` lookups; beyond this
 #: many the oldest terminal ones are forgotten (results stay cached).
 _HISTORY = 1024
+
+
+#: Environment kill switch: run every job inline, never in a process pool
+#: (chaos testing / known pool-hostile environments).
+_ENV_NO_POOL = "REPRO_NO_PROCESS_POOL"
+
+
+def pool_allowed() -> bool:
+    """Is a process pool worth attempting in this environment?
+
+    ``False`` on single-core hosts (no parallelism to gain) and when the
+    ``REPRO_NO_PROCESS_POOL`` kill switch is set.  A ``True`` answer is
+    *advisory*: pool creation can still fail at runtime, and the server
+    degrades to inline execution instead of crashing.
+    """
+    return (os.cpu_count() or 1) > 1 and not os.environ.get(_ENV_NO_POOL)
 
 
 def _pool_entry(spec: tuple[str, dict]) -> tuple[dict, dict]:
     """Process-pool wrapper: compute plus the worker's obs payload.
 
-    Mirrors :func:`repro.parallel._captured_job`: the worker captures its
-    spans and metric deltas so the server can merge them into its own
-    trace/metrics view (cache hit counters from workers stay visible).
+    The worker captures its spans and metric deltas so the server can
+    merge them into its own trace/metrics view
+    (:func:`repro.obs.merge_payload`; cache hit counters from workers stay
+    visible).
     """
     obs.begin_child_capture()
     result = jobs_mod.compute_job(*spec)
@@ -209,7 +227,7 @@ class JobServer:
             raise ReproError("retries must be >= 0")
         self.workers = workers
         self.queue_size = queue_size
-        self.use_processes = use_processes and parallel.pool_allowed()
+        self.use_processes = use_processes and pool_allowed()
         self.job_timeout = job_timeout
         self.retries = retries
         self.drain_timeout = drain_timeout
@@ -891,15 +909,13 @@ class JobServer:
                     "disposition": disposition,
                     "job": job.to_dict(include_result=False),
                 })
-        elif op in ("wait", "status"):
+        elif op == "wait":
             job = self.get_job(str(req.get("job_id")))
             if job is None:
                 await send({"ok": False, "error": "unknown job_id"})
-            elif op == "wait":
+            else:
                 await self._wait_done(job, req.get("timeout"))
                 await send(self._job_reply(job))
-            else:
-                await send({"ok": True, "job": job.to_dict(include_result=False)})
         elif op == "watch":
             job = self.get_job(str(req.get("job_id")))
             if job is None:

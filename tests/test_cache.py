@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import cache
-from repro.core.flow import build_task, build_tasks
+from repro.core.flow import build_task
 from repro.enumeration import build_candidate_library
 from repro.graphs.dfg import DataFlowGraph
 from repro.graphs.program import Block, Loop, Program, Seq
@@ -159,13 +159,6 @@ class TestTaskBuildIntegration:
         build_candidate_library(program, engine="fast")
         build_candidate_library(program, engine="reference")
         assert cache.stats()["library"]["size"] == 2
-
-    def test_parallel_build_matches_serial(self):
-        programs = [make_program(f"p{i}", bound=10 + i) for i in range(3)]
-        serial = build_tasks(programs)
-        cache.clear()
-        parallel = build_tasks(programs, workers=2)
-        assert serial == parallel
 
 
 class TestDiskHardening:

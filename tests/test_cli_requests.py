@@ -9,8 +9,8 @@ format the result.  These tests pin that:
   (``tests/data/cli_golden.json``; elapsed columns masked);
 * ``repro <kind>`` and the same request submitted to an inline server
   give equal answers;
-* ``--workers`` is an execution argument: never a parameter, so never in
-  a key or the journal;
+* ``workers`` is neither a chapter-command flag nor a job parameter, so
+  it never reaches a key or the journal;
 * re-keyed kinds do not serve at-rest entries stored under their old
   keys, and journal records written under an old key turn terminal.
 """
@@ -159,26 +159,20 @@ def test_cli_and_service_give_equal_answers(kind, monkeypatch, capsys):
     assert _mask(capsys.readouterr().out) == _mask(cli_out)
 
 
-def test_workers_is_never_a_job_parameter(monkeypatch, capsys):
-    calls = []
-    compute = jobs.compute_job
-
-    def spy(kind, p, **options):
-        calls.append((kind, dict(p), options))
-        return compute(kind, p, **options)
-
-    monkeypatch.setattr(jobs, "compute_job", spy)
-    assert main(["pareto", "crc32", "--workers", "2"]) == 0
-    assert main(["reconfig", "--workers", "2"]) == 0
-    monkeypatch.undo()
-    capsys.readouterr()
-    assert [(k, o) for k, _, o in calls] == [
-        ("pareto", {"workers": 2}), ("reconfig", {"workers": 2}),
-    ]
-    for kind, params, _ in calls:
-        assert "workers" not in params
+@pytest.mark.parametrize(
+    "argv",
+    [["customize", "crc32"], ["pareto", "crc32"], ["reconfig"],
+     ["faults", "crc32"]],
+    ids=lambda argv: argv[0],
+)
+def test_workers_is_never_a_job_parameter(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    if argv[0] in jobs.JOB_KINDS:
         with pytest.raises(ReproError, match="unknown parameter.*workers"):
-            jobs.resolve_job(kind, dict(params, workers=2))
+            jobs.resolve_job(argv[0], {"workers": 2})
 
 
 def test_workers_never_reaches_the_journal(tmp_path):
@@ -252,10 +246,10 @@ def test_submit_slot_comes_from_the_kind_defaults(capsys):
 #: built-in kind's parameter names.  Neither grows with this layer.
 OPTIONS = {
     "curve": {"--objective", "--output"},
-    "pareto": {"--eps", "--utilization", "--workers", "--no-cache"},
+    "pareto": {"--eps", "--utilization", "--no-cache"},
     "mlgp": {"--utilization", "--target", "--seed", "--no-cache"},
     "reconfig": {
-        "--input", "--max-area", "--rho", "--seed", "--workers", "--no-cache",
+        "--input", "--max-area", "--rho", "--seed", "--no-cache",
     },
     "mtreconfig": {
         "--solver", "--fabric-area", "--rho", "--utilization", "--tasks",

@@ -2,20 +2,20 @@
 
 Also carries the regression tests for the observability bugfixes: the
 derived ``cache.stats()`` report and the epoch-scoped corrupt-cache
-warning (the parallel-timeout regressions live in
-``test_parallel_robustness.py``).
+warning.
 """
 
 from __future__ import annotations
 
 import logging
-import os
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from repro import cache, obs
-from repro.parallel import parallel_map
+from repro import cache, jobs, obs
+from repro.service.server import _pool_entry
 
 
 @pytest.fixture
@@ -28,12 +28,36 @@ def tracing():
     obs.clear_trace()
 
 
-def _traced_job(x: int) -> int:
-    """Pool-safe job that records one span and one counter per call."""
-    with obs.span("obs-test.child", x=x):
+def _traced_job(params: dict) -> dict:
+    """Job kind that records one span and one counter per call."""
+    with obs.span("obs-test.child", x=params["x"]):
         pass
     obs.inc("obs-test.child_jobs")
-    return x + 1
+    return {"y": params["x"] + 1}
+
+
+@pytest.fixture
+def pool_map():
+    """Run ``obs-test`` jobs in real pool workers through the job server's
+    :func:`_pool_entry` and merge each payload, as the server does.
+
+    The pool forks after the kind is registered, so workers resolve it.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs fork-started pool workers")
+    jobs.register_kind("obs-test", lambda p: (str(p["x"]), p), _traced_job)
+    ctx = multiprocessing.get_context("fork")
+
+    def run(xs: list[int]) -> list[int]:
+        with ProcessPoolExecutor(max_workers=2, mp_context=ctx) as pool:
+            specs = [("obs-test", {"x": x}) for x in xs]
+            outs = list(pool.map(_pool_entry, specs))
+        for _, payload in outs:
+            obs.merge_payload(payload)
+        return [result["y"] for result, _ in outs]
+
+    yield run
+    jobs.JOB_KINDS.pop("obs-test", None)
 
 
 class TestIdentifySpans:
@@ -253,29 +277,26 @@ class TestChildCapture:
         assert hist["min"] == 2.0
         assert hist["max"] == 4.0
 
-    def test_parallel_map_merges_worker_spans(self, tracing):
-        # Whether the pool runs (child-capture merge) or the map degrades
-        # to serial (spans recorded directly in the parent), every job's
-        # span and counter must land in the parent trace.
+    def test_pool_entry_merges_worker_spans(self, tracing, pool_map):
+        # Every job's span and counter, recorded in a pool worker, must
+        # land in the parent trace under the span open at merge time.
         with obs.span("parent"):
-            out = parallel_map(_traced_job, [1, 2, 3], workers=2)
+            out = pool_map([1, 2, 3])
         assert out == [2, 3, 4]
-        children = [s for s in obs.trace_spans() if s["name"] == "obs-test.child"]
-        assert len(children) == 3
+        spans = obs.trace_spans()
+        (parent,) = [s for s in spans if s["name"] == "parent"]
+        children = [s for s in spans if s["name"] == "obs-test.child"]
         assert sorted(s["attrs"]["x"] for s in children) == [1, 2, 3]
-        assert all(s["parent"] is not None for s in children)
+        assert all(s["parent"] == parent["id"] for s in children)
         assert obs.metrics_snapshot()["counters"]["obs-test.child_jobs"] == 3
 
-    def test_parallel_map_merges_worker_counters_without_tracing(
-        self, monkeypatch
-    ):
-        # Single-core hosts skip the pool by design; fake two cores so the
-        # workers really run and their metric deltas must be shipped back.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    def test_pool_entry_merges_worker_counters_without_tracing(self, pool_map):
+        # Workers record spans regardless; with tracing off the parent
+        # keeps only their metric deltas, so counters sum the same.
         obs.disable_tracing()
         obs.clear_trace()
         before = obs.metrics_snapshot()["counters"].get("obs-test.child_jobs", 0)
-        out = parallel_map(_traced_job, [1, 2, 3, 4], workers=2)
+        out = pool_map([1, 2, 3, 4])
         assert out == [2, 3, 4, 5]
         after = obs.metrics_snapshot()["counters"].get("obs-test.child_jobs", 0)
         assert after - before == 4

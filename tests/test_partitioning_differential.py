@@ -15,12 +15,12 @@ so a change to its refinement cannot alter results unnoticed.  Algorithm
 from __future__ import annotations
 
 import hashlib
-import os
 import random
 
 import pytest
 
 from repro import cache, obs
+from repro.core.flow import build_task_set, build_tasks
 from repro.graphs.dfg import DataFlowGraph
 from repro.isa.costmodel import HardwareCostModel
 from repro.isa.opcodes import Opcode
@@ -369,42 +369,33 @@ class TestIterativePartitionDifferential:
         assert len(names) == 1
         assert names[0].startswith("repro-cache-partition-")
 
-    def test_workers_match_serial_search(self, monkeypatch):
-        """The per-k fan-out returns the serial search's solution and
-        reports the same k-way counters (worker deltas are merged back)."""
-        # Single-core hosts skip the pool by design; fake two cores so the
-        # fan-out really runs.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        loops, trace = synthetic_loops(20, seed=20), synthetic_trace(20, seed=20)
 
-        def run(workers):
-            obs.reset()
-            sol = iterative_partition(
-                loops, trace, 150.0, 400.0, workers=workers, use_cache=False
-            )
-            counters = obs.metrics_snapshot()["counters"]
-            return sol, {k: v for k, v in counters.items() if k.startswith("kway.")}
-
-        serial, serial_counters = run(None)
-        fanned, fanned_counters = run(2)
-        assert serial.n_configurations > 1  # the search reaches k > 1
-        assert fanned.partition == serial.partition
-        assert fanned.gain == serial.gain
-        assert fanned.n_configurations == serial.n_configurations
-        assert fanned_counters == serial_counters
-        assert serial_counters.get("kway.kl_passes", 0) > 0
+#: Batch entry points that run serially: none takes ``workers=``.
+_SERIAL_ENTRY_POINTS = {
+    "iterative_customization": lambda: iterative_customization(
+        [get_program("crc32")], [1.0], workers=2
+    ),
+    "mlgp_program_profile": lambda: mlgp_program_profile(
+        get_program("crc32"), workers=2
+    ),
+    "build_tasks": lambda: build_tasks([get_program("crc32")], workers=2),
+    "build_task_set": lambda: build_task_set(
+        [get_program("crc32")], 1.0, workers=2
+    ),
+    "iterative_partition": lambda: iterative_partition(
+        synthetic_loops(4, seed=0), synthetic_trace(4, seed=0), 150.0, 400.0,
+        workers=2,
+    ),
+}
 
 
-class TestMlgpFlowIsSerial:
-    """Algorithm 4 visits regions on demand; it has no process fan-out."""
+class TestBatchStagesAreSerial:
+    """Task building, Algorithm 4 and Algorithm 6 have no process fan-out."""
 
-    def test_iterative_customization_takes_no_workers(self):
+    @pytest.mark.parametrize("entry", sorted(_SERIAL_ENTRY_POINTS))
+    def test_takes_no_workers(self, entry):
         with pytest.raises(TypeError, match="workers"):
-            iterative_customization([get_program("crc32")], [1.0], workers=2)
-
-    def test_profile_takes_no_workers(self):
-        with pytest.raises(TypeError, match="workers"):
-            mlgp_program_profile(get_program("crc32"), workers=2)
+            _SERIAL_ENTRY_POINTS[entry]()
 
     def test_cli_mlgp_takes_no_workers(self, capsys):
         from repro.cli import main

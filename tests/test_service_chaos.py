@@ -31,14 +31,21 @@ import time
 
 import pytest
 
-from repro import cache, parallel
+from repro import cache
 from repro.errors import ReproError
 from repro import jobs as jobs_mod
 from repro.service.client import ServiceClient
 from repro.service.journal import JobJournal, replay_journal
-from repro.service.server import ServerThread
+from repro.service.server import ServerThread, pool_allowed
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+#: The chaos CI job runs the suite with process pools forbidden; tests of
+#: pool-degradation behaviour need a real pool to degrade from.
+needs_pool = pytest.mark.skipif(
+    not pool_allowed() or multiprocessing.get_start_method() != "fork",
+    reason="needs a real fork-based process pool",
+)
 
 
 @pytest.fixture(autouse=True)
@@ -518,6 +525,32 @@ class TestDrain:
         assert runtime == [], [str(w.message) for w in runtime]
 
 
+class TestPoolPolicy:
+    """One core or the ``REPRO_NO_PROCESS_POOL`` kill switch: the server
+    declines the pool it was asked for and computes inline, silently."""
+
+    @pytest.mark.parametrize(
+        "host", ["kill-switch", "single-core", "cpu-count-unknown"]
+    )
+    def test_server_without_pool_computes_inline(
+        self, host, kind, monkeypatch, caplog
+    ):
+        if host == "kill-switch":
+            monkeypatch.setenv("REPRO_NO_PROCESS_POOL", "1")
+        else:
+            cpus = 1 if host == "single-core" else None
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        with caplog.at_level("WARNING", logger="repro.service"):
+            with ServerThread(use_processes=True, workers=1) as srv:
+                with ServiceClient(**srv.address) as c:
+                    health = c.health()
+                    resp = c.submit(kind.name, {"x": 3}, timeout=60)
+        assert health["pool"] is False
+        assert resp["job"]["result"] == {"x": 3, "tripled": 9}
+        assert kind.calls == [{"x": 3}]  # ran in this process
+        assert [r for r in caplog.records if r.name == "repro.service"] == []
+
+
 class TestRetryBudget:
     @staticmethod
     def _thread_pools(srv):
@@ -568,11 +601,7 @@ class TestRetryBudget:
         assert len(kind.calls) == 1
         assert stats["counters"]["retried"] == 0
 
-    @pytest.mark.skipif(
-        not parallel.pool_allowed()
-        or multiprocessing.get_start_method() != "fork",
-        reason="needs a real fork-based process pool",
-    )
+    @needs_pool
     def test_sigkilled_pool_worker_retries_then_succeeds(
         self, kind, tmp_path
     ):
