@@ -134,7 +134,7 @@ def test_figure_6_10(benchmark):
 
     def run():
         loops, trace = jpeg_loops(), jpeg_trace()
-        lines = ["rho_K   static  greedy  iterative  exhaustive  n_cfg_iter"]
+        rows = []
         for rho in (0.0, 5.0, JPEG_RHO, 30.0, 60.0, 120.0):
             _sel, static_gain = spatial_select(loops, JPEG_MAX_AREA)
             gr = greedy_partition(loops, trace, JPEG_MAX_AREA, rho)
@@ -142,14 +142,27 @@ def test_figure_6_10(benchmark):
             ex = exhaustive_partition(
                 loops, trace, JPEG_MAX_AREA, rho, time_budget=EXHAUSTIVE_BUDGET
             )
-            lines.append(
-                f"{rho:5.0f}  {static_gain:7.0f}  {gr.gain:6.0f}  "
-                f"{it.gain:9.0f}  {ex.gain:10.0f}  {it.n_configurations:10d}"
+            rows.append(
+                (rho, static_gain, gr.gain, it.gain, ex.gain, it.n_configurations)
             )
-        return lines
+        return rows
 
-    lines = once(benchmark, run)
+    rows = once(benchmark, run)
+    lines = ["rho_K   static  greedy  iterative  exhaustive  n_cfg_iter"]
+    for rho, static_g, gr_g, it_g, ex_g, n_cfg in rows:
+        lines.append(
+            f"{rho:5.0f}  {static_g:7.0f}  {gr_g:6.0f}  "
+            f"{it_g:9.0f}  {ex_g:10.0f}  {n_cfg:10d}"
+        )
     emit("figure_6_10_jpeg_quality", lines)
-    # Shape: at low reconfiguration cost, reconfiguration beats static.
-    first = lines[1].split()
-    assert float(first[3]) > float(first[1])  # iterative > static at rho=0
+    # Shape (EXPERIMENTS.md): at rho=0 reconfiguration beats static;
+    # iterative matches exhaustive at every rho with greedy at or below it;
+    # from rho=30K on, iterative collapses to the single static configuration.
+    _rho, static_g, _gr, it_g, _ex, _n = rows[0]
+    assert it_g > static_g
+    for rho, static_g, gr_g, it_g, ex_g, n_cfg in rows:
+        assert it_g == pytest.approx(ex_g, abs=1e-6), rho
+        assert gr_g <= it_g + 1e-6, rho
+        if rho >= 30.0:
+            assert it_g == pytest.approx(static_g, abs=1e-6), rho
+            assert n_cfg == 1, rho

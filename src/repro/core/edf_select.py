@@ -1,17 +1,13 @@
 """Optimal custom-instruction selection under EDF (thesis Algorithm 1).
 
-Pseudo-polynomial dynamic program over a quantized area axis.  Let
-``U_i(A)`` be the minimum total utilization of tasks ``T_1 .. T_i`` under an
-area budget ``A``::
+Let ``U_i(A)`` be the minimum total utilization of tasks ``T_1 .. T_i``
+under an area budget ``A``::
 
     U_i(A) = min_{j : area_{i,j} <= A} ( cycle_{i,j} / P_i + U_{i-1}(A - area_{i,j}) )
 
-The step ``delta`` is the greatest common divisor of every configuration
-area and of the budget (Algorithm 1); when that would make the table larger
-than ``max_steps`` the step is coarsened, with configuration areas rounded
-*up* so the budget is never exceeded.  Complexity
-``O(N x AREA/delta x max_i n_i)``; each configuration's update runs as one
-numpy slice operation over the area axis.  Because
+This is the multiple-choice knapsack of :mod:`repro.selection.knapsack`
+with each configuration's utilization as its value, in
+``O(N x AREA/delta x max_i n_i)`` for an area step ``delta``.  Because
 EDF schedulability is exactly ``U <= 1``, minimizing utilization by
 definition works toward meeting all deadlines.
 """
@@ -19,13 +15,17 @@ definition works toward meeting all deadlines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
 from repro import cache, obs
 from repro.errors import ScheduleError
 from repro.rtsched.task import TaskSet
+from repro.selection.knapsack import (
+    multichoice_backtrack,
+    multichoice_table,
+    quantize,
+)
 
 __all__ = ["EdfSelection", "select_edf"]
 
@@ -47,19 +47,6 @@ class EdfSelection:
     @property
     def schedulable(self) -> bool:
         return self.utilization <= 1.0 + 1e-9
-
-
-def _quantum(areas: list[float], budget: float, scale: int, max_steps: int) -> int:
-    ints = [round(v * scale) for v in areas if v > 0]
-    ints.append(max(1, round(budget * scale)))
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    g = max(1, g)
-    cap_scaled = int(round(budget * scale))
-    if cap_scaled // g > max_steps:
-        g = -(-cap_scaled // max_steps)  # ceil division
-    return g
 
 
 def select_edf(
@@ -105,67 +92,38 @@ def select_edf(
                 area=cached["area"],
             )
     with obs.span("select.edf", tasks=len(task_set)):
-        return _select_edf_dp(task_set, area_budget, scale, max_steps, key)
-
-
-def _select_edf_dp(
-    task_set: TaskSet,
-    area_budget: float,
-    scale: int,
-    max_steps: int,
-    key: str | None,
-) -> EdfSelection:
-    """The DP proper (split out so the span covers exactly the solve)."""
-    tasks = task_set.tasks
-    all_areas = [c.area for t in tasks for c in t.configurations]
-    q = _quantum(all_areas, max(area_budget, 1e-9), scale, max_steps)
-    cap = int(round(area_budget * scale)) // q
-    obs.inc("selection.edf.dp_cells", (cap + 1) * len(tasks))
-
-    def steps(a: float) -> int:
-        # Round *up* so quantization never understates consumed area.
-        return -(-round(a * scale) // q)
-
-    inf = float("inf")
-    best = np.zeros(cap + 1)
-    picks: list[np.ndarray] = []
-    for task in tasks:
-        feasible = [
-            (j, steps(cfg.area), cfg.cycles / task.period)
-            for j, cfg in enumerate(task.configurations)
-            if steps(cfg.area) <= cap
-        ]
-        if not feasible:
-            raise ScheduleError(
-                f"task {task.name!r} has no configuration fitting the budget"
-            )
-        new = np.full(cap + 1, inf)
-        pick = np.zeros(cap + 1, dtype=np.int32)
-        for j, w, u in feasible:
-            # Strict less-than keeps the earliest configuration on ties.
-            cand = best[: cap + 1 - w] + u
-            better = cand < new[w:]
-            new[w:][better] = cand[better]
-            pick[w:][better] = j
-        best = new
-        picks.append(pick)
-
-    a = int(np.argmin(best))  # ties resolve to the smallest area index
-    assignment = [0] * len(tasks)
-    for i in range(len(tasks) - 1, -1, -1):
-        j = int(picks[i][a])
-        assignment[i] = j
-        a -= steps(tasks[i].configurations[j].area)
-    util = task_set.utilization_for(assignment)
-    area = task_set.area_for(assignment)
-    result = EdfSelection(utilization=util, assignment=tuple(assignment), area=area)
-    if key is not None:
-        cache.store_selection(
-            key,
-            {
-                "utilization": result.utilization,
-                "assignment": list(result.assignment),
-                "area": result.area,
-            },
+        tasks = task_set.tasks
+        cap, steps = quantize(
+            [[c.area for c in t.configurations] for t in tasks],
+            area_budget,
+            scale,
+            max_steps,
         )
+        obs.inc("selection.edf.dp_cells", (cap + 1) * len(tasks))
+        for task, ws in zip(tasks, steps):
+            if min(ws) > cap:
+                raise ScheduleError(
+                    f"task {task.name!r} has no configuration fitting the budget"
+                )
+        groups = [
+            [(w, c.cycles / t.period) for w, c in zip(ws, t.configurations)]
+            for t, ws in zip(tasks, steps)
+        ]
+        best, picks = multichoice_table(groups, cap)
+        # argmin: ties resolve to the smallest area column.
+        assignment = multichoice_backtrack(groups, picks, int(np.argmin(best)))
+        result = EdfSelection(
+            utilization=task_set.utilization_for(assignment),
+            assignment=assignment,
+            area=task_set.area_for(assignment),
+        )
+        if key is not None:
+            cache.store_selection(
+                key,
+                {
+                    "utilization": result.utilization,
+                    "assignment": list(result.assignment),
+                    "area": result.area,
+                },
+            )
     return result

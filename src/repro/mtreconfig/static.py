@@ -3,34 +3,26 @@
 With exactly one configuration the fabric never reconfigures, but every
 selected hardware version must fit the fabric *simultaneously* — this is
 precisely the Chapter 3 selection problem: a multi-choice knapsack
-minimizing utilization under the total area budget.
+minimizing utilization under the total area budget, solved by the shared
+DP of :mod:`repro.selection.knapsack`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from math import gcd
 
 import numpy as np
 
 from repro import obs
 from repro.errors import ScheduleError
 from repro.mtreconfig.model import MTSolution, ReconfigTask, effective_utilization
+from repro.selection.knapsack import (
+    multichoice_backtrack,
+    multichoice_table,
+    quantize,
+)
 
 __all__ = ["static_solution"]
-
-
-def _quantum(areas: list[float], budget: float, scale: int, max_steps: int) -> int:
-    ints = [round(a * scale) for a in areas if a > 0]
-    ints.append(max(1, round(budget * scale)))
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    g = max(1, g)
-    cap = int(round(budget * scale))
-    if cap // g > max_steps:
-        g = -(-cap // max_steps)
-    return g
 
 
 def static_solution(
@@ -55,49 +47,15 @@ def static_solution(
     if fabric_area < 0:
         raise ScheduleError("fabric area must be non-negative")
     with obs.span("mtreconfig.static", tasks=len(tasks)):
-        return _static_solution(tasks, fabric_area, rho, scale, max_steps)
-
-
-def _static_solution(
-    tasks: Sequence[ReconfigTask],
-    fabric_area: float,
-    rho: float,
-    scale: int,
-    max_steps: int,
-) -> MTSolution:
-    areas = [v.area for t in tasks for v in t.versions]
-    q = _quantum(areas, max(fabric_area, 1e-9), scale, max_steps)
-    cap = int(round(fabric_area * scale)) // q
-
-    def steps(a: float) -> int:
-        return -(-round(a * scale) // q)
-
-    inf = float("inf")
-    best = np.zeros(cap + 1)
-    picks: list[np.ndarray] = []
-    for task in tasks:
-        new = np.full(cap + 1, inf)
-        pick = np.zeros(cap + 1, dtype=np.int32)
-        for j, v in enumerate(task.versions):
-            w = steps(v.area)
-            if w > cap:
-                continue
-            u = v.cycles / task.period
-            cand = np.full(cap + 1, inf)
-            cand[w:] = best[: cap + 1 - w] + u
-            better = cand < new
-            new[better] = cand[better]
-            pick[better] = j
-        best = new
-        picks.append(pick)
-    a = int(np.argmin(best))
-    selection = [0] * len(tasks)
-    for i in range(len(tasks) - 1, -1, -1):
-        j = int(picks[i][a])
-        selection[i] = j
-        a -= steps(tasks[i].versions[j].area)
-    group_of = [0] * len(tasks)
-    util = effective_utilization(tasks, selection, group_of, rho)
-    return MTSolution(
-        selection=tuple(selection), group_of=tuple(group_of), utilization=util
-    )
+        cap, steps = quantize(
+            [[v.area for v in t.versions] for t in tasks], fabric_area, scale, max_steps
+        )
+        groups = [
+            [(w, v.cycles / t.period) for w, v in zip(ws, t.versions)]
+            for t, ws in zip(tasks, steps)
+        ]
+        best, picks = multichoice_table(groups, cap)
+        selection = multichoice_backtrack(groups, picks, int(np.argmin(best)))
+        group_of = (0,) * len(tasks)
+        util = effective_utilization(tasks, selection, group_of, rho)
+    return MTSolution(selection=selection, group_of=group_of, utilization=util)

@@ -4,9 +4,10 @@ Input: per task ``T_i`` its workload-area Pareto curve
 ``P_i = {(w_{i,k}, c_{i,k})}`` (from the intra-task stage) plus its period.
 A *global design configuration* picks exactly one curve point per task; its
 utilization is ``sum_i w_{i,k_i} / P_i`` and its cost ``sum_i c_{i,k_i}``.
-The exact utilization-area Pareto curve comes from the multi-choice DP of
-recursion (4.2); the ε-approximate curve applies the same geometric cost
-partition + cost-scaling GAP routine as the intra-task stage.
+The exact utilization-area Pareto curve comes from recursion (4.2), the
+multiple-choice knapsack of :mod:`repro.selection.knapsack`; the
+ε-approximate curve runs that DP over geometrically scaled costs, the same
+cost-partition + cost-scaling GAP routine as the intra-task stage.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ from repro import cache, obs
 from repro.engines import check_engine
 from repro.errors import ReproError
 from repro.pareto.front import ParetoPoint, pareto_filter
+from repro.selection.knapsack import multichoice_backtrack, multichoice_table
 
 __all__ = ["TaskCurve", "exact_utilization_curve", "approx_utilization_curve"]
-
-_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -52,50 +52,6 @@ class TaskCurve:
     @property
     def utilizations(self) -> tuple[float, ...]:
         return tuple(w / self.period for w in self.workloads)
-
-
-def _multichoice_dp(
-    tasks: Sequence[TaskCurve],
-    costs_per_task: Sequence[Sequence[int]],
-    cap: int,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """DP over cost <= j: min total utilization picking one option per task.
-
-    Returns:
-        (best utilization array over 0..cap, per-task chosen-option arrays
-        for backtracking).
-    """
-    best = np.zeros(cap + 1)
-    picks: list[np.ndarray] = []
-    for curve, costs in zip(tasks, costs_per_task):
-        utils = curve.utilizations
-        new = np.full(cap + 1, _INF)
-        pick = np.zeros(cap + 1, dtype=np.int32)
-        for k, (u, c) in enumerate(zip(utils, costs)):
-            if c > cap:
-                continue
-            cand = np.full(cap + 1, _INF)
-            cand[c:] = best[: cap + 1 - c] + u
-            better = cand < new
-            new[better] = cand[better]
-            pick[better] = k
-        best = new
-        picks.append(pick)
-    return best, picks
-
-
-def _backtrack(
-    tasks: Sequence[TaskCurve],
-    costs_per_task: Sequence[Sequence[int]],
-    picks: list[np.ndarray],
-    j: int,
-) -> tuple[int, ...]:
-    choice: list[int] = [0] * len(tasks)
-    for i in range(len(tasks) - 1, -1, -1):
-        k = int(picks[i][j])
-        choice[i] = k
-        j -= costs_per_task[i][k]
-    return tuple(choice)
 
 
 def _staircase_keep(costs: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -206,21 +162,18 @@ def exact_utilization_curve(
         if engine == "fast":
             curve = _merge_curve(tasks)
         else:
-            costs = [list(t.areas) for t in tasks]
-            cap = sum(max(c) for c in costs)
-            best, picks = _multichoice_dp(tasks, costs, cap)
-            points = []
-            for j in range(cap + 1):
-                if not math.isfinite(best[j]):
-                    continue
-                points.append(
-                    ParetoPoint(
-                        value=float(best[j]),
-                        cost=float(j),
-                        choice=_backtrack(tasks, costs, picks, j),
-                    )
+            groups = [list(zip(t.areas, t.utilizations)) for t in tasks]
+            cap = sum(max(t.areas) for t in tasks)
+            best, picks = multichoice_table(groups, cap)
+            curve = pareto_filter(
+                ParetoPoint(
+                    value=float(best[j]),
+                    cost=float(j),
+                    choice=multichoice_backtrack(groups, picks, j),
                 )
-            curve = pareto_filter(points)
+                for j in range(cap + 1)
+                if math.isfinite(best[j])
+            )
         sp.set(points=len(curve))
     if key is not None:
         cache.store_pareto(key, _points_to_jsonable(curve))
@@ -247,55 +200,46 @@ def approx_utilization_curve(
         eps_prime = math.sqrt(1.0 + eps) - 1.0
         n_options = sum(len(t.areas) for t in tasks)
         total_cost = sum(max(t.areas) for t in tasks)
-        points: list[ParetoPoint] = []
-        # Zero-cost solution: every task at its cheapest (software) option.
-        u0 = 0.0
-        choice0 = []
-        for t in tasks:
-            k = min(
-                range(len(t.areas)), key=lambda k: (t.areas[k], t.workloads[k])
+        utils = [t.utilizations for t in tasks]
+
+        def corner(rank) -> tuple[float, tuple[int, ...]]:
+            # Every task at its first option minimal under rank(task, option).
+            choice = tuple(
+                min(range(len(t.areas)), key=lambda k: rank(t, k)) for t in tasks
             )
-            u0 += t.utilizations[k]
-            choice0.append(k)
-        points.append(ParetoPoint(value=u0, cost=0.0, choice=tuple(choice0)))
+            u = 0.0
+            for t_utils, k in zip(utils, choice):
+                u += t_utils[k]
+            return u, choice
+
+        # Zero-cost solution: every task at its cheapest (software) option.
+        u0, choice0 = corner(lambda t, k: (t.areas[k], t.workloads[k]))
+        points = [ParetoPoint(value=u0, cost=0.0, choice=choice0)]
         if total_cost == 0:
             return pareto_filter(points)
 
         r = math.ceil(n_options / eps_prime)
-        b = 1.0
-        coords: list[float] = []
-        while b <= total_cost:
-            coords.append(b)
-            b *= 1.0 + eps_prime
-        for coord in coords:
-            scaled = [
-                [math.ceil(a * r / coord) for a in t.areas] for t in tasks
+        coord = 1.0
+        while coord <= total_cost:
+            groups = [
+                [(math.ceil(a * r / coord), u) for a, u in zip(t.areas, t_utils)]
+                for t, t_utils in zip(tasks, utils)
             ]
-            best, picks = _multichoice_dp(tasks, scaled, r)
+            best, picks = multichoice_table(groups, r)
             j = int(np.argmin(best))
-            if not math.isfinite(best[j]):
-                continue
-            choice = _backtrack(tasks, scaled, picks, j)
-            # Report the solution's true cost (property (a) bounds it by coord).
-            true_cost = sum(t.areas[k] for t, k in zip(tasks, choice))
-            points.append(
-                ParetoPoint(
-                    value=float(best[j]), cost=float(true_cost), choice=choice
+            if math.isfinite(best[j]):
+                choice = multichoice_backtrack(groups, picks, j)
+                # Report the solution's true cost (property (a) bounds it by coord).
+                cost = sum(t.areas[k] for t, k in zip(tasks, choice))
+                points.append(
+                    ParetoPoint(value=float(best[j]), cost=float(cost), choice=choice)
                 )
-            )
+            coord *= 1.0 + eps_prime
         # Exact full-cost corner: every task at its fastest option.
-        u_full, cost_full, choice_full = 0.0, 0.0, []
-        for t in tasks:
-            k = min(
-                range(len(t.areas)), key=lambda k: (t.workloads[k], t.areas[k])
-            )
-            u_full += t.utilizations[k]
-            cost_full += t.areas[k]
-            choice_full.append(k)
+        u_full, choice_full = corner(lambda t, k: (t.workloads[k], t.areas[k]))
+        cost_full = sum(t.areas[k] for t, k in zip(tasks, choice_full))
         points.append(
-            ParetoPoint(
-                value=u_full, cost=float(cost_full), choice=tuple(choice_full)
-            )
+            ParetoPoint(value=u_full, cost=float(cost_full), choice=choice_full)
         )
         curve = pareto_filter(points)
         sp.set(points=len(curve))

@@ -97,7 +97,7 @@ def test_inter_exact_cache_is_engine_independent(monkeypatch):
     def no_dp(*args, **kwargs):
         raise AssertionError("the reference DP ran despite a cached curve")
 
-    monkeypatch.setattr(inter, "_multichoice_dp", no_dp)
+    monkeypatch.setattr(inter, "multichoice_table", no_dp)
     ref = exact_utilization_curve(curves, engine="reference")
     assert [(p.value, p.cost, p.choice) for p in ref] == [
         (p.value, p.cost, p.choice) for p in fast
