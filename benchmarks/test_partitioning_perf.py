@@ -6,12 +6,9 @@
   ``mlgp.partition`` spans (guard >= 2x);
 * cache row ``mlgp`` — the same sweep on the fast engine, cold vs warm
   region cache: what every repeated same-seed sweep of the Chapter 5
-  generation pipeline gets (guard >= 5x);
-* cache rows ``reconfig`` / ``dp`` — the Ch. 6 iterative partitioner on
-  an input whose search reaches k > 1, and the Ch. 7 DP (guard >= 1.05x:
-  a cache that stops hitting reads 0.9-1.0).
+  generation pipeline gets (guard >= 5x).
 
-The cache rows are timed by wall clock: the production spans of these
+The cache row is timed by wall clock: the production spans of these
 calls sit behind their cache lookups, so a warm run emits none.
 """
 
@@ -30,11 +27,7 @@ from benchmarks.common import (
 from repro import cache
 from repro.mlgp import mlgp_fast
 from repro.mlgp.mlgp import mlgp_partition
-from repro.mtreconfig.dp import dp_solution
-from repro.mtreconfig.workload import synthetic_reconfig_tasks
-from repro.reconfig.iterative import iterative_partition
 from repro.workloads import get_program
-from repro.workloads.loops import synthetic_loops, synthetic_trace
 
 #: The thesis Table 5.1 benchmark set (the MLGP evaluation workload).
 TABLE_5_1 = (
@@ -77,21 +70,6 @@ def _cold_sweep(engine: str) -> list[tuple]:
     return _sweep(engine)
 
 
-@functools.cache
-def _reconfig_input() -> tuple:
-    return synthetic_loops(40, seed=40), synthetic_trace(40, seed=40)
-
-
-def _reconfig() -> tuple:
-    r = iterative_partition(*_reconfig_input(), 150.0, 400.0, seed=2)
-    return r.partition, r.gain, r.n_configurations
-
-
-@functools.cache
-def _dp_tasks() -> list:
-    return synthetic_reconfig_tasks(16, seed=5)
-
-
 ENGINE_ROWS = (
     EngineRow(
         mlgp_partition, _cold_sweep, "table_5_1_full_region_sweep",
@@ -105,20 +83,14 @@ CACHE_ROWS = (
         "table_5_1_full_region_sweep", guard=5.0,
         clear=lambda: (cache.clear(), mlgp_fast._CTX_CACHE.clear()),
     ),
-    CacheRow("reconfig", _reconfig, "synthetic_loops_40_seed_40", guard=1.05),
-    CacheRow(
-        "dp", lambda: dp_solution(_dp_tasks(), 2000.0, 5000.0).solution,
-        "synthetic_16_tasks", guard=1.05,
-    ),
 )
 
 
 def test_partitioning_speed_trajectory():
-    _region_work(), _reconfig_input(), _dp_tasks()  # built untimed
+    _region_work()  # built untimed
     payload = {
         "engine_rows": run_engine_rows(ENGINE_ROWS),
         "cache_rows": run_cache_rows(CACHE_ROWS),
     }
     emit_json("BENCH_partitioning", payload)
     assert_guards(payload["engine_rows"], payload["cache_rows"])
-    assert _reconfig()[2] > 1, "the Ch. 6 search stopped at k = 1"

@@ -93,9 +93,7 @@ def _simulations(engine: str) -> list[tuple]:
 
 
 def _inter(engine: str) -> list[tuple]:
-    curve = exact_utilization_curve(
-        list(_gate_scale_curves()), engine=engine, use_cache=False
-    )
+    curve = exact_utilization_curve(list(_gate_scale_curves()), engine=engine)
     return [(p.value, p.cost) for p in curve]
 
 

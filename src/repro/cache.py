@@ -4,14 +4,20 @@ Area/utilization sweeps (e.g. the Chapter 3 benches) re-run the
 identification pipeline — candidate enumeration plus configuration-curve
 construction — over the *same* programs at many budget points.  Both
 artifacts depend only on the program's structure and the pipeline
-parameters, so they are memoized behind a content key:
+parameters, so they are memoized behind a content key.  So are the
+other results a run repeats: EDF/RMS selections (``selection``), MLGP
+region partitions (``mlgp``) and completed service jobs (``service``).
+Whole-answer results that a run computes once (Pareto curves, Ch. 6
+partitions, Ch. 7 solutions) are not cached.
+
+Every kind works the same way:
 
 * **key** — SHA-256 over a canonical rendering of the program's syntax tree
   and every basic block's DFG (opcodes, edges, live-outs, live-in operand
   counts) plus the enumeration/selection parameters
   (:func:`program_fingerprint`, :func:`artifact_key`);
-* **in-process LRU** — always on (disable per call with ``use_cache=False``
-  or globally with :func:`set_enabled`);
+* **in-process LRU** — always on (a caller of a cached kind can bypass
+  it per call, or disable it globally with :func:`set_enabled`);
 * **on-disk JSON** — off by default; enabled by setting the
   ``REPRO_CACHE_DIR`` environment variable (or :func:`set_cache_dir`) to a
   writable directory, where artifacts persist across processes.
@@ -70,28 +76,19 @@ __all__ = [
     "stats",
     "candidates_digest",
     "clear",
-    "curves_digest",
     "dfg_digest",
     "fetch_candidates",
     "fetch_curve",
     "fetch_mlgp",
-    "fetch_mtsolution",
-    "fetch_pareto",
-    "fetch_partition",
     "fetch_selection",
     "fetch_service_result",
-    "hot_loops_digest",
     "program_fingerprint",
-    "reconfig_tasks_digest",
     "reset_cache_dir",
     "set_cache_dir",
     "set_enabled",
     "store_candidates",
     "store_curve",
     "store_mlgp",
-    "store_mtsolution",
-    "store_pareto",
-    "store_partition",
     "store_selection",
     "store_service_result",
     "taskset_digest",
@@ -407,11 +404,8 @@ def _register_kind(kind: str, maxsize: int) -> _LRUCache:
 
 _LIBRARIES = _register_kind("library", maxsize=256)
 _CURVES = _register_kind("curve", maxsize=512)
-_PARETO = _register_kind("pareto", maxsize=512)
 _SELECTIONS = _register_kind("selection", maxsize=2048)
-_PARTITIONS = _register_kind("partition", maxsize=256)
 _MLGP = _register_kind("mlgp", maxsize=4096)
-_MTSOLUTIONS = _register_kind("mtsolution", maxsize=512)
 _SERVICE = _register_kind("service", maxsize=1024)
 _enabled = True
 _dir_override: Path | None | str = ""  # "" means "follow the environment"
@@ -608,38 +602,6 @@ def dfg_digest(dfg: Any) -> str:
     return digest
 
 
-def hot_loops_digest(loops: Sequence[Any], trace: Sequence[int]) -> str:
-    """SHA-256 hex digest of hot loops + their trace (Ch. 6 cache keys).
-
-    Covers every loop's (area, gain) version curve in loop order plus the
-    execution trace; names are excluded (content addressing).
-    """
-    payload = repr(
-        (
-            tuple(
-                tuple((v.area, v.gain) for v in lp.versions) for lp in loops
-            ),
-            tuple(trace),
-        )
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def reconfig_tasks_digest(tasks: Sequence[Any]) -> str:
-    """SHA-256 hex digest of reconfigurable tasks (Ch. 7 cache keys).
-
-    Covers periods and every version's (area, cycles) pair in task order
-    (:class:`repro.mtreconfig.model.ReconfigTask`); names are excluded.
-    """
-    payload = repr(
-        tuple(
-            (t.period, tuple((v.area, v.cycles) for v in t.versions))
-            for t in tasks
-        )
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 def candidates_digest(candidates: Sequence[Candidate]) -> str:
     """SHA-256 hex digest of a candidate list (for curve cache keys)."""
     payload = repr(
@@ -672,16 +634,6 @@ def taskset_digest(task_set: Any) -> str:
             for t in task_set.tasks
         )
     )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def curves_digest(tasks: Sequence[Any]) -> str:
-    """SHA-256 hex digest of per-task workload-area curves (Ch. 4 inputs).
-
-    Accepts any sequence of objects with ``period``, ``workloads`` and
-    ``areas`` attributes (:class:`repro.pareto.inter.TaskCurve`).
-    """
-    payload = repr(tuple((t.period, t.workloads, t.areas) for t in tasks))
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -882,16 +834,6 @@ def store_curve(key: str, curve: Sequence[TaskConfiguration]) -> None:
     _store(_CURVES, "curve", key, curve, _configuration_to_jsonable)
 
 
-def fetch_pareto(key: str) -> list[dict[str, Any]] | None:
-    """Cached Pareto curve (``{"value", "cost", "choice"}`` dicts) or None."""
-    return _fetch_json(_PARETO, "pareto", key)
-
-
-def store_pareto(key: str, points: Sequence[dict[str, Any]]) -> None:
-    """Memoize a computed Pareto curve (jsonable point dicts)."""
-    _store_json(_PARETO, "pareto", key, list(points))
-
-
 def fetch_selection(key: str) -> dict[str, Any] | None:
     """Cached selection result (solver-specific jsonable dict) or None."""
     return _fetch_json(_SELECTIONS, "selection", key)
@@ -900,16 +842,6 @@ def fetch_selection(key: str) -> dict[str, Any] | None:
 def store_selection(key: str, payload: dict[str, Any]) -> None:
     """Memoize a selection-solver result."""
     _store_json(_SELECTIONS, "selection", key, payload)
-
-
-def fetch_partition(key: str) -> dict[str, Any] | None:
-    """Cached reconfiguration-partition result or None."""
-    return _fetch_json(_PARTITIONS, "partition", key)
-
-
-def store_partition(key: str, payload: dict[str, Any]) -> None:
-    """Memoize a reconfiguration-partition result."""
-    _store_json(_PARTITIONS, "partition", key, payload)
 
 
 def fetch_mlgp(key: str) -> dict[str, Any] | None:
@@ -936,13 +868,3 @@ def fetch_service_result(key: str) -> dict[str, Any] | None:
 def store_service_result(key: str, payload: dict[str, Any]) -> None:
     """Memoize a completed service job result."""
     _store_json(_SERVICE, "service", key, payload)
-
-
-def fetch_mtsolution(key: str) -> dict[str, Any] | None:
-    """Cached Chapter 7 DP solution or None."""
-    return _fetch_json(_MTSOLUTIONS, "mtsolution", key)
-
-
-def store_mtsolution(key: str, payload: dict[str, Any]) -> None:
-    """Memoize a Chapter 7 DP solution."""
-    _store_json(_MTSOLUTIONS, "mtsolution", key, payload)

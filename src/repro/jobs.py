@@ -8,10 +8,11 @@ here and nowhere else:
   name with its default;
 * **normalize** — defaults plus validation, cheap.  Unknown parameter
   names and malformed values raise :class:`~repro.errors.ReproError`;
-* **key** — the content-addressed dedup key, from the digests the
-  artifact cache uses (``program_fingerprint``, ``hot_loops_digest``,
-  ``reconfig_tasks_digest``), so requests that compute the same artifact
-  share a key;
+* **key** — the content-addressed dedup key: a content digest of the
+  inputs (program fingerprints from :mod:`repro.cache`, or the hot-loop
+  and reconfigurable-task digests below) joined through
+  ``cache.artifact_key``, so requests that compute the same answer share
+  a key;
 * **compute** ``(params)`` — the run, returning a JSON-serializable
   result that carries everything ``repro <kind>`` prints.
 
@@ -32,7 +33,8 @@ in-memory ``register_program`` bindings only on inline servers.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable, Mapping
+import hashlib
+from collections.abc import Callable, Mapping, Sequence
 from typing import Any
 
 from repro import cache
@@ -153,6 +155,32 @@ def _need_benchmarks(p: dict, kind: str) -> None:
 
 def _joint_fingerprint(names) -> str:
     return "+".join(cache.program_fingerprint(p) for p in programs_for(names))
+
+
+def _hot_loops_digest(loops: Sequence[Any], trace: Sequence[int]) -> str:
+    """SHA-256 hex digest of hot loops + their trace: every loop's (area,
+    gain) version curve in loop order plus the trace; names excluded."""
+    payload = repr(
+        (
+            tuple(
+                tuple((v.area, v.gain) for v in lp.versions) for lp in loops
+            ),
+            tuple(trace),
+        )
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _reconfig_tasks_digest(tasks: Sequence[Any]) -> str:
+    """SHA-256 hex digest of reconfigurable tasks: periods and every
+    version's (area, cycles) pair in task order; names excluded."""
+    payload = repr(
+        tuple(
+            (t.period, tuple((v.area, v.cycles) for v in t.versions))
+            for t in tasks
+        )
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def _placement(names, selection, config_of) -> list[dict]:
@@ -388,7 +416,7 @@ def _key_reconfig(p: dict) -> str:
         digest = _joint_fingerprint(p["benchmarks"])
         extra = {"max_versions": p["max_versions"]}
     else:
-        digest = cache.hot_loops_digest(*_reconfig_inputs(p)[:2])
+        digest = _hot_loops_digest(*_reconfig_inputs(p)[:2])
         extra = {}
     max_area, rho = _reconfig_area_rho(p)
     return cache.artifact_key(
@@ -485,7 +513,7 @@ def _key_mtreconfig(p: dict) -> str:
         extra = {"utilization": p["utilization"]}
     else:
         tasks, fabric_area, rho = _mtreconfig_inputs(p)
-        digest = cache.reconfig_tasks_digest(tasks)
+        digest = _reconfig_tasks_digest(tasks)
         extra = {}
     return cache.artifact_key(
         digest,

@@ -27,7 +27,7 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro import cache, obs
+from repro import obs
 from repro.mtreconfig.model import MTSolution, ReconfigTask, effective_utilization
 from repro.mtreconfig.static import static_solution
 
@@ -74,7 +74,6 @@ def dp_solution(
     rho: float,
     scale: int = 100,
     max_steps: int = 20000,
-    use_cache: bool = True,
 ) -> DpReport:
     """Near-optimal spatial+temporal partitioning via the two-case DP.
 
@@ -83,83 +82,36 @@ def dp_solution(
         fabric_area: area of one fabric configuration.
         rho: reconfiguration cost (time units).
         scale / max_steps: quantization controls of the static knapsack.
-        use_cache: memoize the solution behind a content key (task digest
-            + parameters) in :mod:`repro.cache`; a cached hit reports its
-            own (near-zero) elapsed time.
 
     Returns:
         A :class:`DpReport` with the best solution found and the runtime.
     """
     start = time.perf_counter()
-
-    key = None
-    if use_cache:
-        key = cache.artifact_key(
-            cache.reconfig_tasks_digest(tasks),
-            kind="mtsolution",
-            fabric_area=fabric_area,
-            rho=rho,
-            scale=scale,
-            max_steps=max_steps,
-        )
-        cached = cache.fetch_mtsolution(key)
-        if cached is not None:
-            return DpReport(
-                solution=MTSolution(
-                    selection=tuple(cached["selection"]),
-                    group_of=tuple(cached["group_of"]),
-                    utilization=cached["utilization"],
-                ),
-                elapsed=time.perf_counter() - start,
-            )
-
     with obs.span("mtreconfig.dp", tasks=len(tasks)):
-        report = _dp_solution(tasks, fabric_area, rho, scale, max_steps, start)
-    if key is not None:
-        cache.store_mtsolution(
-            key,
-            {
-                "selection": list(report.solution.selection),
-                "group_of": list(report.solution.group_of),
-                "utilization": report.solution.utilization,
-            },
+        # Case 1: single configuration, no reconfiguration cost.
+        static = static_solution(
+            tasks, fabric_area, rho=rho, scale=scale, max_steps=max_steps
         )
-    return report
 
+        # Case 2: multiple configurations, per-period tax on hardware tasks.
+        selection = [0] * len(tasks)
+        for i, task in enumerate(tasks):
+            best_j, best_cost = 0, task.versions[0].cycles
+            for j, v in enumerate(task.versions):
+                if j == 0 or v.area > fabric_area:
+                    continue
+                cost = v.cycles + rho
+                if cost < best_cost:
+                    best_j, best_cost = j, cost
+            selection[i] = best_j
+        group_of = _pack_first_fit(tasks, selection, fabric_area)
+        multi = MTSolution(
+            selection=tuple(selection),
+            group_of=tuple(group_of),
+            # A packing into one configuration pays no tax:
+            # effective_utilization handles that case.
+            utilization=effective_utilization(tasks, selection, group_of, rho),
+        )
 
-def _dp_solution(
-    tasks: Sequence[ReconfigTask],
-    fabric_area: float,
-    rho: float,
-    scale: int,
-    max_steps: int,
-    start: float,
-) -> DpReport:
-    # Case 1: single configuration, no reconfiguration cost.
-    static = static_solution(
-        tasks, fabric_area, rho=rho, scale=scale, max_steps=max_steps
-    )
-
-    # Case 2: multiple configurations, per-period tax on hardware tasks.
-    selection = [0] * len(tasks)
-    for i, task in enumerate(tasks):
-        best_j, best_cost = 0, task.versions[0].cycles
-        for j, v in enumerate(task.versions):
-            if j == 0 or v.area > fabric_area:
-                continue
-            cost = v.cycles + rho
-            if cost < best_cost:
-                best_j, best_cost = j, cost
-        selection[i] = best_j
-    group_of = _pack_first_fit(tasks, selection, fabric_area)
-    multi_util = effective_utilization(tasks, selection, group_of, rho)
-    multi = MTSolution(
-        selection=tuple(selection),
-        group_of=tuple(group_of),
-        utilization=multi_util,
-    )
-    # If packing collapsed everything into one configuration, re-evaluate
-    # without the tax (effective_utilization already handles this).
-
-    best = min((static, multi), key=lambda s: s.utilization)
-    return DpReport(solution=best, elapsed=time.perf_counter() - start)
+        best = min((static, multi), key=lambda s: s.utilization)
+        return DpReport(solution=best, elapsed=time.perf_counter() - start)

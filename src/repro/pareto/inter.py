@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import cache, obs
+from repro import obs
 from repro.engines import check_engine
 from repro.errors import ReproError
 from repro.pareto.front import ParetoPoint, pareto_filter
@@ -116,22 +116,8 @@ def _merge_curve(tasks: Sequence[TaskCurve]) -> list[ParetoPoint]:
     return pareto_filter(points)
 
 
-def _points_to_jsonable(points: Sequence[ParetoPoint]) -> list[dict]:
-    return [
-        {"value": p.value, "cost": p.cost, "choice": list(p.choice)}
-        for p in points
-    ]
-
-
-def _points_from_jsonable(raw: Sequence[dict]) -> list[ParetoPoint]:
-    return [
-        ParetoPoint(value=d["value"], cost=d["cost"], choice=tuple(d["choice"]))
-        for d in raw
-    ]
-
-
 def exact_utilization_curve(
-    tasks: Sequence[TaskCurve], engine: str = "fast", use_cache: bool = True
+    tasks: Sequence[TaskCurve], engine: str = "fast"
 ) -> list[ParetoPoint]:
     """The exact utilization-area Pareto curve of a task set.
 
@@ -141,9 +127,6 @@ def exact_utilization_curve(
             dominance pruning between merges; ``"reference"`` runs the
             recursion-(4.2) DP over the full cost axis (the differential
             oracle).  Both produce bit-identical ``(value, cost)`` curves.
-        use_cache: memoize the curve behind a content key (curve digests)
-            in :mod:`repro.cache`; the engines agree, so the key leaves the
-            engine out.
 
     Returns:
         Undominated ``(utilization, area)`` points; each point's ``choice``
@@ -152,12 +135,6 @@ def exact_utilization_curve(
     if not tasks:
         raise ReproError("need at least one task curve")
     check_engine(engine)
-    key = None
-    if use_cache:
-        key = cache.artifact_key(cache.curves_digest(tasks), kind="inter_exact")
-        cached = cache.fetch_pareto(key)
-        if cached is not None:
-            return _points_from_jsonable(cached)
     with obs.span("pareto.exact", tasks=len(tasks), engine=engine) as sp:
         if engine == "fast":
             curve = _merge_curve(tasks)
@@ -175,34 +152,24 @@ def exact_utilization_curve(
                 if math.isfinite(best[j])
             )
         sp.set(points=len(curve))
-    if key is not None:
-        cache.store_pareto(key, _points_to_jsonable(curve))
     return curve
 
 
 def approx_utilization_curve(
-    tasks: Sequence[TaskCurve], eps: float, use_cache: bool = True
+    tasks: Sequence[TaskCurve], eps: float
 ) -> list[ParetoPoint]:
     """ε-approximate utilization-area Pareto curve (Algorithm 3, stage 2)."""
     if eps <= 0:
         raise ReproError("eps must be positive")
     if not tasks:
         raise ReproError("need at least one task curve")
-    key = None
-    if use_cache:
-        key = cache.artifact_key(
-            cache.curves_digest(tasks), kind="inter_approx", eps=eps
-        )
-        cached = cache.fetch_pareto(key)
-        if cached is not None:
-            return _points_from_jsonable(cached)
     with obs.span("pareto.approx", tasks=len(tasks), eps=eps) as sp:
         eps_prime = math.sqrt(1.0 + eps) - 1.0
         n_options = sum(len(t.areas) for t in tasks)
         total_cost = sum(max(t.areas) for t in tasks)
         utils = [t.utilizations for t in tasks]
 
-        def corner(rank) -> tuple[float, tuple[int, ...]]:
+        def corner(rank) -> ParetoPoint:
             # Every task at its first option minimal under rank(task, option).
             choice = tuple(
                 min(range(len(t.areas)), key=lambda k: rank(t, k)) for t in tasks
@@ -210,14 +177,11 @@ def approx_utilization_curve(
             u = 0.0
             for t_utils, k in zip(utils, choice):
                 u += t_utils[k]
-            return u, choice
+            cost = sum(t.areas[k] for t, k in zip(tasks, choice))
+            return ParetoPoint(value=u, cost=float(cost), choice=choice)
 
-        # Zero-cost solution: every task at its cheapest (software) option.
-        u0, choice0 = corner(lambda t, k: (t.areas[k], t.workloads[k]))
-        points = [ParetoPoint(value=u0, cost=0.0, choice=choice0)]
-        if total_cost == 0:
-            return pareto_filter(points)
-
+        # Cheapest corner: every task at its cheapest (software) option.
+        points = [corner(lambda t, k: (t.areas[k], t.workloads[k]))]
         r = math.ceil(n_options / eps_prime)
         coord = 1.0
         while coord <= total_cost:
@@ -236,13 +200,7 @@ def approx_utilization_curve(
                 )
             coord *= 1.0 + eps_prime
         # Exact full-cost corner: every task at its fastest option.
-        u_full, choice_full = corner(lambda t, k: (t.workloads[k], t.areas[k]))
-        cost_full = sum(t.areas[k] for t, k in zip(tasks, choice_full))
-        points.append(
-            ParetoPoint(value=u_full, cost=float(cost_full), choice=choice_full)
-        )
+        points.append(corner(lambda t, k: (t.workloads[k], t.areas[k])))
         curve = pareto_filter(points)
         sp.set(points=len(curve))
-    if key is not None:
-        cache.store_pareto(key, _points_to_jsonable(curve))
     return curve

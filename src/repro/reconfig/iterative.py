@@ -23,10 +23,10 @@ version, larger ``k`` cannot help.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from repro import cache, obs
+from repro import obs
 from repro.errors import ReproError
 from repro.reconfig.kwaypart import kway_partition
 from repro.reconfig.model import HotLoop, Partition, net_gain
@@ -148,11 +148,14 @@ def _solutions_for_k(
     seed: int,
     prune: bool,
     k: int,
+    edges_all: Mapping[tuple[int, int], float],
 ) -> list[PartitionSolution]:
     """Candidate solutions for one configuration count *k* (phases 1-3).
 
-    Returned in the order :func:`iterative_partition` compares them: each
-    base candidate followed by its pruned variant when it differs.
+    *edges_all* is the reconfiguration cost graph over all loops (the
+    graph of partition P', the same for every *k*).  Returned in the
+    order :func:`iterative_partition` compares them: each base candidate
+    followed by its pruned variant when it differs.
     """
     with obs.span("reconfig.k", k=k, loops=len(loops)):
         n = len(loops)
@@ -177,10 +180,7 @@ def _solutions_for_k(
                 config_of[i] = part_id
             candidates.append((list(selection), config_of))
         # Partition P': all loops, unit weights, selection ignored.
-        rcg_all = build_rcg(trace, range(n))
-        assign_all = kway_partition(
-            n, {k2: float(v) for k2, v in rcg_all.items()}, None, k=k, seed=seed
-        )
+        assign_all = kway_partition(n, edges_all, None, k=k, seed=seed)
         candidates.append(([0] * n, list(assign_all)))
 
         solutions: list[PartitionSolution] = []
@@ -220,7 +220,6 @@ def iterative_partition(
     rho: float,
     seed: int = 0,
     prune: bool = True,
-    use_cache: bool = True,
 ) -> PartitionSolution:
     """Run Algorithm 6 and return the best solution found.
 
@@ -232,8 +231,6 @@ def iterative_partition(
         seed: RNG seed for the k-way partitioner.
         prune: run the software-demotion post-pass on each candidate
             solution (ablation switch; True in normal use).
-        use_cache: memoize the final result behind a content key (loops +
-            trace digest + parameters) in :mod:`repro.cache`.
 
     Returns:
         The best :class:`PartitionSolution`.
@@ -241,36 +238,19 @@ def iterative_partition(
     n = len(loops)
     if n == 0:
         raise ReproError("need at least one hot loop")
-    key = None
-    if use_cache:
-        key = cache.artifact_key(
-            cache.hot_loops_digest(loops, trace),
-            kind="iterative_partition",
-            max_area=max_area,
-            rho=rho,
-            seed=seed,
-            prune=prune,
-        )
-        cached = cache.fetch_partition(key)
-        if cached is not None:
-            return PartitionSolution(
-                partition=Partition(
-                    selection=tuple(cached["selection"]),
-                    config_of=tuple(cached["config_of"]),
-                ),
-                gain=cached["gain"],
-                n_configurations=cached["n_configurations"],
-            )
     loops = _cap_versions(loops, max_area)
 
     with obs.span("reconfig.partition", loops=n):
+        edges_all = {
+            e: float(w) for e, w in build_rcg(trace, range(n)).items()
+        }
         best: PartitionSolution | None = None
         best_total_gain = sum(
             lp.versions[lp.best_version].gain for lp in loops
         )
         for k in range(1, n + 1):
             for sol in _solutions_for_k(
-                loops, trace, max_area, rho, seed, prune, k
+                loops, trace, max_area, rho, seed, prune, k, edges_all
             ):
                 if best is None or sol.gain > best.gain:
                     best = sol
@@ -283,14 +263,4 @@ def iterative_partition(
             if best is not None and best.gain >= best_total_gain:
                 break
         assert best is not None
-    if key is not None:
-        cache.store_partition(
-            key,
-            {
-                "selection": list(best.partition.selection),
-                "config_of": list(best.partition.config_of),
-                "gain": best.gain,
-                "n_configurations": best.n_configurations,
-            },
-        )
     return best

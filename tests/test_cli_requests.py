@@ -12,7 +12,8 @@ format the result.  These tests pin that:
 * ``workers`` is neither a chapter-command flag nor a job parameter, so
   it never reaches a key or the journal;
 * re-keyed kinds do not serve at-rest entries stored under their old
-  keys, and journal records written under an old key turn terminal.
+  keys, and journal records written under an old key turn terminal;
+* the keys of kinds that were not re-keyed stay byte-identical.
 """
 
 from __future__ import annotations
@@ -225,6 +226,31 @@ def test_old_key_journal_record_turns_terminal(tmp_path):
     srv2 = ServerThread(journal=journal, use_processes=False).start()
     srv2.stop()
     assert srv2.server.counters["recovered"] == 0
+
+
+#: ``service`` keys of three requests, recorded before the Ch. 6/7
+#: content digests moved from :mod:`repro.cache` into :mod:`repro.jobs`:
+#: at-rest results stored under them must keep hitting.
+KEY_PINS = {
+    "reconfig": (
+        {},
+        "7dea9702ce83a654e96bde0272904ae6998ece18c2cc3be496801e72850d74bd",
+    ),
+    "mtreconfig": (
+        {"tasks": 12},
+        "d4d07dfb59797eea2740ed853ff19f06a165cb9fd44d9f9eb648a3e3c3b521fc",
+    ),
+    "pareto": (
+        {"benchmarks": ["crc32", "sha"]},
+        "2b57a50cd3faaa5436fbebc58484a654ff6cc89b4a484a3be5885855244ada2d",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KEY_PINS))
+def test_service_keys_are_pinned(kind):
+    params, key = KEY_PINS[kind]
+    assert jobs.resolve_job(kind, params)[0] == key
 
 
 def test_submit_slot_comes_from_the_kind_defaults(capsys):

@@ -4,8 +4,8 @@ Each DSE stage with a fast path keeps the original implementation
 behind ``engine="reference"``.  These tests drive both engines over
 seeded random inputs and assert *bit-identical* results — equal floats,
 equal assignments, equal node counts — not approximate agreement.
-Caching is bypassed (``use_cache=False``) so the engines cannot observe
-each other's results: the selection and Pareto keys leave the engine
+The selection cache is bypassed (``use_cache=False``) so the engines
+cannot observe each other's results: the selection key leaves the engine
 out (engines never change an answer), so a cached fast result would
 otherwise answer the oracle's call.
 """
@@ -16,9 +16,7 @@ import random
 
 import pytest
 
-from repro import cache
 from repro.core.rms_select import select_rms
-from repro.pareto import inter
 from repro.pareto.inter import TaskCurve, exact_utilization_curve
 from repro.pareto.intra import CIOption, exact_workload_curve
 from repro.testing import random_task_set
@@ -44,8 +42,8 @@ def _random_curves(rng: random.Random) -> list[TaskCurve]:
 @pytest.mark.parametrize("seed", SEEDS)
 def test_inter_exact_merge_matches_reference(seed):
     curves = _random_curves(random.Random(seed))
-    merge = exact_utilization_curve(curves, engine="fast", use_cache=False)
-    ref = exact_utilization_curve(curves, engine="reference", use_cache=False)
+    merge = exact_utilization_curve(curves, engine="fast")
+    ref = exact_utilization_curve(curves, engine="reference")
     # The (utilization, area) frontier must be bit-identical.
     assert [(p.value, p.cost) for p in merge] == [(p.value, p.cost) for p in ref]
     # Ties can be realized by different choices; each reported choice must
@@ -85,22 +83,3 @@ def test_rms_select_fast_matches_reference(seed):
     assert fast.area == ref.area
     # Identical search tree, not just identical answers.
     assert fast.nodes_visited == ref.nodes_visited
-
-
-def test_inter_exact_cache_is_engine_independent(monkeypatch):
-    """A reference call after a cached fast call is a cache hit: the key
-    leaves the engine out, because the engines return the same curve."""
-    cache.clear()
-    curves = _random_curves(random.Random(99))
-    fast = exact_utilization_curve(curves, engine="fast")
-
-    def no_dp(*args, **kwargs):
-        raise AssertionError("the reference DP ran despite a cached curve")
-
-    monkeypatch.setattr(inter, "multichoice_table", no_dp)
-    ref = exact_utilization_curve(curves, engine="reference")
-    assert [(p.value, p.cost, p.choice) for p in ref] == [
-        (p.value, p.cost, p.choice) for p in fast
-    ]
-    assert cache.stats()["pareto"]["hits"] == 1
-    cache.clear()

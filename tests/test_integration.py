@@ -97,6 +97,7 @@ class TestChapter6Pipeline:
         it = iterative_partition(loops, trace, JPEG_MAX_AREA, JPEG_RHO)
         gr = greedy_partition(loops, trace, JPEG_MAX_AREA, JPEG_RHO)
         assert it.gain >= gr.gain - 1e-9
+        assert iterative_partition(loops, trace, JPEG_MAX_AREA, JPEG_RHO) == it
 
     def test_jpeg_reconfiguration_beats_static(self):
         """With multiple configurations the JPEG app gains more than any

@@ -112,22 +112,14 @@ def _curves(seed: int) -> list[TaskCurve]:
 
 def _inter_exact() -> list:
     return [
-        [
-            p.choice
-            for p in exact_utilization_curve(
-                _curves(seed), engine="reference", use_cache=False
-            )
-        ]
+        [p.choice for p in exact_utilization_curve(_curves(seed), engine="reference")]
         for seed in range(8)
     ]
 
 
 def _inter_approx() -> list:
     return [
-        [
-            p.choice
-            for p in approx_utilization_curve(_curves(seed), eps, use_cache=False)
-        ]
+        [p.choice for p in approx_utilization_curve(_curves(seed), eps)]
         for seed in range(8)
         for eps in (0.1, 0.5)
     ]

@@ -169,6 +169,10 @@ class TestWorkload:
         a = synthetic_reconfig_tasks(4, seed=11)
         b = synthetic_reconfig_tasks(4, seed=11)
         assert a == b
+        assert (
+            dp_solution(a, 2000.0, 5000.0).solution
+            == dp_solution(b, 2000.0, 5000.0).solution
+        )
 
 
 class TestBenchmarkWorkload:

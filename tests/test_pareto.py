@@ -224,6 +224,33 @@ class TestInter:
         approx = approx_utilization_curve(curves, eps)
         assert is_eps_cover(approx, exact, eps)
 
+    @given(st.integers(0, 200), st.sampled_from([0.1, 0.69, 3.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_every_point_recomputes_from_its_choice(self, seed, eps):
+        """Value and cost of every point of both curves are those of its
+        ``choice``, also when a task's cheapest option has area."""
+        rng = random.Random(seed)
+        curves = [
+            TaskCurve(
+                period=c.period,
+                workloads=c.workloads,
+                areas=tuple(a + floor for a in c.areas),
+            )
+            for c, floor in zip(
+                _random_task_curves(seed),
+                (rng.choice((0, rng.randint(1, 20))) for _ in range(3)),
+            )
+        ]
+        for p in [
+            *exact_utilization_curve(curves),
+            *approx_utilization_curve(curves, eps),
+        ]:
+            u = 0.0
+            for c, k in zip(curves, p.choice):
+                u += c.utilizations[k]
+            cost = sum(c.areas[k] for c, k in zip(curves, p.choice))
+            assert (p.value, p.cost) == (u, float(cost))
+
     def test_validation(self):
         with pytest.raises(ReproError):
             exact_utilization_curve([])

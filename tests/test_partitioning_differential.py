@@ -4,12 +4,14 @@ The fast MLGP engine is promised *bit-identical* to the reference
 implementation under a fixed seed — same partitions, same float
 gains/areas.  These tests enforce that promise across seeded random
 workloads and real benchmark regions, plus the seed-determinism and
-cache-consistency properties the pipeline relies on.
+MLGP cache-consistency properties the pipeline relies on.
 
 The k-way partitioner has a single implementation; its answers on seeded
 random graphs are pinned (sha256 of each assignment plus its edge-cut),
-so a change to its refinement cannot alter results unnoticed.  Algorithm
-6's per-k process fan-out must return the serial search's solution.
+so a change to its refinement cannot alter results unnoticed.  The batch
+stages take no ``workers=``, and the calls whose whole answer a run
+computes once (Pareto curves, Algorithm 6, the Ch. 7 DP) take no
+``use_cache=``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,11 @@ from repro.mlgp.mlgp_fast import _Ctx
 from repro.mtreconfig.dp import dp_solution
 from repro.mtreconfig.model import ReconfigTask, TaskVersion
 from repro.mtreconfig.workload import synthetic_reconfig_tasks
-from repro.reconfig.extract import extract_hot_loops
+from repro.pareto.inter import (
+    TaskCurve,
+    approx_utilization_curve,
+    exact_utilization_curve,
+)
 from repro.reconfig.iterative import iterative_partition
 from repro.reconfig.kwaypart import edge_cut, kway_partition
 from repro.workloads import CH3_TASK_SETS, get_program
@@ -340,36 +346,6 @@ class TestKwayDifferential:
         assert counters.get("kway.kl_passes", 0) >= 1
 
 
-class TestIterativePartitionDifferential:
-    def test_cache_hit_matches_computation(self):
-        ex = extract_hot_loops(get_program("adpcm"))
-        loops, trace = ex.loops, ex.trace
-        uncached = iterative_partition(
-            loops, trace, 150.0, 400.0, seed=3, use_cache=False
-        )
-        cache.clear()
-        cold = iterative_partition(loops, trace, 150.0, 400.0, seed=3)
-        warm = iterative_partition(loops, trace, 150.0, 400.0, seed=3)
-        assert cold.partition == warm.partition == uncached.partition
-        assert warm.gain == uncached.gain
-
-    def test_one_disk_entry_per_search(self, tmp_path):
-        """The search memoizes its answer only: one ``partition`` entry,
-        no per-k entries."""
-        loops, trace = synthetic_loops(20, seed=20), synthetic_trace(20, seed=20)
-        cache.clear()
-        cache.set_cache_dir(tmp_path)
-        try:
-            sol = iterative_partition(loops, trace, 150.0, 400.0)
-        finally:
-            cache.reset_cache_dir()
-            cache.clear()
-        assert sol.n_configurations > 1  # the search reaches k > 1
-        names = sorted(p.name for p in tmp_path.iterdir())
-        assert len(names) == 1
-        assert names[0].startswith("repro-cache-partition-")
-
-
 #: Batch entry points that run serially: none takes ``workers=``.
 _SERIAL_ENTRY_POINTS = {
     "iterative_customization": lambda: iterative_customization(
@@ -387,6 +363,33 @@ _SERIAL_ENTRY_POINTS = {
         workers=2,
     ),
 }
+
+
+#: Entry points whose whole answer is computed once per run, so nothing
+#: memoizes it: none takes ``use_cache=``.
+_UNCACHED_ENTRY_POINTS = {
+    "exact_utilization_curve": lambda: exact_utilization_curve(
+        [TaskCurve(period=1.0, workloads=(2.0, 1.0), areas=(0, 1))],
+        use_cache=False,
+    ),
+    "approx_utilization_curve": lambda: approx_utilization_curve(
+        [TaskCurve(period=1.0, workloads=(2.0, 1.0), areas=(0, 1))], 0.5,
+        use_cache=False,
+    ),
+    "iterative_partition": lambda: iterative_partition(
+        synthetic_loops(4, seed=0), synthetic_trace(4, seed=0), 150.0, 400.0,
+        use_cache=False,
+    ),
+    "dp_solution": lambda: dp_solution(
+        synthetic_reconfig_tasks(4, seed=0), 2000.0, 5000.0, use_cache=False
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_UNCACHED_ENTRY_POINTS))
+def test_whole_answer_calls_take_no_use_cache(entry):
+    with pytest.raises(TypeError, match="use_cache"):
+        _UNCACHED_ENTRY_POINTS[entry]()
 
 
 class TestBatchStagesAreSerial:
@@ -416,7 +419,7 @@ def _mk_task(name, period, versions):
 
 class TestDpEdgeCases:
     def test_empty_task_set(self):
-        report = dp_solution([], 1000.0, 50.0, use_cache=False)
+        report = dp_solution([], 1000.0, 50.0)
         assert report.solution.selection == ()
         assert report.solution.utilization == 0.0
 
@@ -425,7 +428,7 @@ class TestDpEdgeCases:
             _mk_task("a", 1000.0, [(0.0, 900.0), (10.0, 300.0)]),
             _mk_task("b", 1000.0, [(0.0, 800.0), (10.0, 250.0)]),
         ]
-        report = dp_solution(tasks, 12.0, 0.0, use_cache=False)
+        report = dp_solution(tasks, 12.0, 0.0)
         # With rho = 0 the tax vanishes, so every fitting hardware version
         # is free to use even across multiple configurations.
         assert all(j != 0 for j in report.solution.selection)
@@ -437,7 +440,7 @@ class TestDpEdgeCases:
             _mk_task("a", 1000.0, [(0.0, 900.0), (50.0, 300.0)]),
             _mk_task("b", 1000.0, [(0.0, 800.0), (60.0, 250.0)]),
         ]
-        report = dp_solution(tasks, 10.0, 5.0, use_cache=False)
+        report = dp_solution(tasks, 10.0, 5.0)
         assert report.solution.selection == (0, 0)
         assert report.solution.utilization == pytest.approx(
             0.9 + 0.8
@@ -447,18 +450,9 @@ class TestDpEdgeCases:
         # One hardware task always collapses to a single configuration,
         # so the reconfiguration tax must not be charged.
         tasks = [_mk_task("solo", 1000.0, [(0.0, 900.0), (10.0, 300.0)])]
-        report = dp_solution(tasks, 20.0, 500.0, use_cache=False)
+        report = dp_solution(tasks, 20.0, 500.0)
         assert report.solution.selection == (1,)
         assert report.solution.utilization == pytest.approx(0.3)
-
-    def test_cache_roundtrip_deterministic(self):
-        tasks = synthetic_reconfig_tasks(8, seed=4)
-        cache.clear()
-        cold = dp_solution(tasks, 2000.0, 5000.0)
-        warm = dp_solution(tasks, 2000.0, 5000.0)
-        assert cold.solution == warm.solution
-        uncached = dp_solution(tasks, 2000.0, 5000.0, use_cache=False)
-        assert uncached.solution == cold.solution
 
 
 class _RecordingModel(HardwareCostModel):
