@@ -14,6 +14,10 @@ from __future__ import annotations
 
 import time
 
+# Imported up front: the timed calls below build numpy tables, and the
+# package loads numpy on first use, so the first timed call would
+# otherwise include the import.
+import numpy  # noqa: F401
 import pytest
 
 from benchmarks.common import emit, once

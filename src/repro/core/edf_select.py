@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro import cache, obs
 from repro.errors import ScheduleError
 from repro.rtsched.task import TaskSet
@@ -111,7 +109,7 @@ def select_edf(
         ]
         best, picks = multichoice_table(groups, cap)
         # argmin: ties resolve to the smallest area column.
-        assignment = multichoice_backtrack(groups, picks, int(np.argmin(best)))
+        assignment = multichoice_backtrack(groups, picks, int(best.argmin()))
         result = EdfSelection(
             utilization=task_set.utilization_for(assignment),
             assignment=assignment,

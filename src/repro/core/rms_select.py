@@ -23,14 +23,16 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro import cache, obs
 from repro.engines import check_engine
 from repro.errors import ScheduleError
 from repro.rtsched.rms import rms_points, rms_task_load
 from repro.rtsched.task import TaskSet
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["RmsSelection", "select_rms"]
 
@@ -113,6 +115,8 @@ def select_rms(
                 area=cached["area"],
                 nodes_visited=cached["nodes_visited"],
             )
+    import numpy as np
+
     # Priority order: increasing period.
     order = sorted(range(len(task_set)), key=lambda i: task_set[i].period)
     tasks = [task_set[i] for i in order]

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib
 from collections.abc import Callable, Mapping, Sequence
 from typing import Any
 
@@ -47,6 +48,7 @@ __all__ = [
     "JOB_KINDS",
     "JobKind",
     "compute_job",
+    "import_compute_modules",
     "normalize_job",
     "register_kind",
     "resolve_job",
@@ -107,6 +109,31 @@ def normalize_job(kind: str, params: dict | None) -> dict:
 def compute_job(kind: str, params: dict) -> dict:
     """Run one job's computation (module-level, so it pickles)."""
     return _kind(kind).compute(params)
+
+
+#: What the built-in kinds' computations import, numpy included.  scipy
+#: (only the ILP solvers) and the front-end (only ``reconfig`` on
+#: benchmarks, whose identification dwarfs the import) stay first-use
+#: imports.
+_COMPUTE_MODULES = (
+    "numpy",
+    "repro.core",
+    "repro.enumeration",
+    "repro.mlgp.flow",
+    "repro.mtreconfig",
+    "repro.pareto",
+    "repro.reconfig",
+)
+
+
+def import_compute_modules() -> None:
+    """Import every built-in kind's compute modules.
+
+    The job server's pool workers run this at start, so no job pays a
+    first import while the server process itself stays light.
+    """
+    for name in _COMPUTE_MODULES:
+        importlib.import_module(name)
 
 
 def _builtin(
@@ -533,6 +560,9 @@ def _compute_mtreconfig(params: dict) -> dict:
 
     tasks, fabric_area, rho = _mtreconfig_inputs(params)
     if params["solver"] == "static":
+        # Load numpy before the clock starts, as dp_solution does.
+        import numpy  # noqa: F401
+
         t0 = time.perf_counter()
         solution = static_solution(tasks, fabric_area, rho=rho)
         elapsed = time.perf_counter() - t0

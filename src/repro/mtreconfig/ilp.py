@@ -25,8 +25,6 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro import obs
 from repro.errors import SolverError
 from repro.mtreconfig.dp import _pack_first_fit
@@ -85,6 +83,7 @@ def _ilp_solution(
     time_limit: float | None,
     start: float,
 ) -> IlpReport:
+    import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     n = len(tasks)

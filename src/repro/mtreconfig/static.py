@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro import obs
 from repro.errors import ScheduleError
 from repro.mtreconfig.model import MTSolution, ReconfigTask, effective_utilization
@@ -55,7 +53,7 @@ def static_solution(
             for t, ws in zip(tasks, steps)
         ]
         best, picks = multichoice_table(groups, cap)
-        selection = multichoice_backtrack(groups, picks, int(np.argmin(best)))
+        selection = multichoice_backtrack(groups, picks, int(best.argmin()))
         group_of = (0,) * len(tasks)
         util = effective_utilization(tasks, selection, group_of, rho)
     return MTSolution(selection=selection, group_of=group_of, utilization=util)

@@ -70,8 +70,7 @@ def synthetic_reconfig_tasks(
             speedup = 1.0 + (max_speedup - 1.0) * frac * rng.uniform(0.8, 1.0)
             versions.append(TaskVersion(area=float(a), cycles=base / speedup))
         raw.append((f"task{i}", base, versions))
-    total_u_per_unit = sum(base for _, base, _ in raw)
-    # Uniform alpha so software utilization hits the target.
+    # Each task gets software utilization target / n, the set the target.
     tasks: list[ReconfigTask] = []
     for name, base, versions in raw:
         period = base * n_tasks / target_utilization

@@ -15,14 +15,16 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro import obs
 from repro.engines import check_engine
 from repro.errors import ReproError
 from repro.pareto.front import ParetoPoint, pareto_filter
 from repro.selection.knapsack import multichoice_backtrack, multichoice_table
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["TaskCurve", "exact_utilization_curve", "approx_utilization_curve"]
 
@@ -63,6 +65,8 @@ def _staircase_keep(costs: np.ndarray, values: np.ndarray) -> np.ndarray:
     keep, so running the survivors through ``pareto_filter`` afterwards
     yields the same frontier the unpruned point set would.
     """
+    import numpy as np
+
     order = np.lexsort((values, costs))
     v = values[order]
     prev_min = np.concatenate(([np.inf], np.minimum.accumulate(v)[:-1]))
@@ -78,6 +82,8 @@ def _merge_curve(tasks: Sequence[TaskCurve]) -> list[ParetoPoint]:
     Utilization accumulates in task order — the same float additions the
     DP performs — so the resulting curve is bit-identical.
     """
+    import numpy as np
+
     first = tasks[0]
     front_c = np.asarray(first.areas, dtype=np.int64)
     front_u = np.asarray(first.utilizations, dtype=float)
@@ -190,7 +196,7 @@ def approx_utilization_curve(
                 for t, t_utils in zip(tasks, utils)
             ]
             best, picks = multichoice_table(groups, r)
-            j = int(np.argmin(best))
+            j = int(best.argmin())
             if math.isfinite(best[j]):
                 choice = multichoice_backtrack(groups, picks, j)
                 # Report the solution's true cost (property (a) bounds it by coord).

@@ -21,12 +21,14 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.engines import check_engine
 from repro.errors import ReproError
 from repro.pareto.front import ParetoPoint, pareto_filter
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["CIOption", "exact_workload_curve", "approx_workload_curve", "gap_solve"]
 
@@ -49,6 +51,8 @@ def _best_reduction_by_cost(
     deltas: Sequence[float], areas: Sequence[int], cap: int
 ) -> np.ndarray:
     """DP: max total workload reduction achievable with cost <= j, j=0..cap."""
+    import numpy as np
+
     best = np.zeros(cap + 1)
     for delta, area in zip(deltas, areas):
         if area > cap:
@@ -87,6 +91,8 @@ def exact_workload_curve(
         [o.delta for o in options], [o.area for o in options], cap
     )
     if engine == "fast":
+        import numpy as np
+
         # Strict staircase over the (monotone) reduction array: keep the
         # first cost index of every new maximum.  Strict pruning keeps a
         # superset of what the EPS-tolerant filter keeps, so the final

@@ -79,6 +79,10 @@ def exhaustive_partition(
             evaluated.
     """
     n = len(loops)
+    # Load numpy before the clock starts: the budget bounds the search, not
+    # the first import behind spatial_select's knapsack table.
+    import numpy  # noqa: F401
+
     start = time.perf_counter()
     best: PartitionSolution | None = None
     # Memoized optimal local selection per loop subset.

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.errors import ReproError
 from repro.reconfig.model import HotLoop
 from repro.selection.knapsack import (
@@ -60,6 +58,6 @@ def spatial_select(
         for lp, ws in zip(loops, steps)
     ]
     best, picks = multichoice_table(groups, cap)
-    selection = list(multichoice_backtrack(groups, picks, int(np.argmin(best))))
+    selection = list(multichoice_backtrack(groups, picks, int(best.argmin())))
     total = sum(lp.versions[j].gain for lp, j in zip(loops, selection))
     return selection, total

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.enumeration.patterns import Candidate, CandidateLibrary
 from repro.errors import SolverError
 
@@ -47,8 +45,9 @@ def select_ilp(
     Raises:
         SolverError: if the MILP backend reports failure.
     """
-    # scipy is imported here, not at module level: it costs ~0.6 s and
-    # nothing else on the package's import path needs it.
+    # scipy and numpy are imported here, not at module level: they cost
+    # ~0.6 s and nothing else on the package's import path needs them.
+    import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     n = len(candidates)

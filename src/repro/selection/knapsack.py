@@ -13,10 +13,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from math import gcd
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.enumeration.patterns import Candidate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "area_quantum",
@@ -68,6 +70,8 @@ def multichoice_table(
     fits) and ``picks[i][a]`` group *i*'s option in it.  A strict ``<``
     keeps the earliest option on ties; options wider than *cap* are skipped.
     """
+    import numpy as np
+
     best = np.zeros(cap + 1)
     picks: list[np.ndarray] = []
     for options in groups:

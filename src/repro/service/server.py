@@ -286,8 +286,19 @@ class JobServer:
             await self._open_and_replay_journal()
 
     def _new_pool(self) -> ProcessPoolExecutor:
-        """Pool factory; tests substitute thread pools here."""
-        return ProcessPoolExecutor(max_workers=self.workers)
+        """Pool factory; tests substitute thread pools here.
+
+        Each worker imports the compute modules when it starts, so no
+        job's run includes a first import.  A no-op task starts the
+        workers now, while the server finishes starting, instead of at
+        the first job; a pool that breaks meanwhile fails that job's own
+        submit, which replaces it.
+        """
+        pool = ProcessPoolExecutor(
+            max_workers=self.workers, initializer=jobs_mod.import_compute_modules
+        )
+        pool.submit(int)
+        return pool
 
     async def _open_and_replay_journal(self) -> None:
         """Open the journal and resubmit every non-terminal job.
